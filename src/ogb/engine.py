@@ -478,15 +478,26 @@ class Engine:
             for item_dict in data.get("items", []):
                 self._apply_insert(OgbData.from_dict(item_dict), record=False)
         log_path = self._log_path()
-        if log_path.exists():
-            with log_path.open(encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    entry = json.loads(line)
-                    if entry["op"] == "insert":
-                        self._apply_insert(OgbData.from_dict(entry["item"]),
-                                           record=False)
-                    elif entry["op"] == "delete":
-                        self._apply_delete(entry["name"], record=False)
+        if not log_path.exists():
+            return
+        raw = log_path.read_bytes()
+        lines = raw.split(b"\n")
+        if lines[-1]:
+            # A record is committed by its newline; an unterminated last line
+            # is a torn append.  Cut it so the next append starts a new line.
+            with log_path.open("r+b") as fh:
+                fh.truncate(len(raw) - len(lines[-1]))
+        for number, line in enumerate(lines[:-1], 1):
+            if not line.strip():
+                continue
+            try:
+                entry = json.loads(line)
+            except ValueError as exc:
+                raise StorageError("%s line %d is corrupt: %s"
+                                   % (log_path, number, exc)) from exc
+            if entry["op"] == "insert":
+                self._apply_insert(OgbData.from_dict(entry["item"]), record=False)
+            elif entry["op"] == "delete" and entry["name"] in self.co_table:
+                # A missing name was already folded out by a snapshot that
+                # crashed before it could empty the log.
+                self._apply_delete(entry["name"], record=False)

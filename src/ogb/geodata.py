@@ -267,12 +267,14 @@ def post_filter(features: Iterable[GeoFeature], bbox: BoundingBox,
 
 
 def dedupe_features(features: Iterable[GeoFeature]) -> list[GeoFeature]:
-    """Drop repeat oids, keeping first occurrences (references and inline
-    copies of one object all resolve to the same oid)."""
+    """Drop repeats of one object, keeping first occurrences.  References and
+    inline copies of an object share its full identity (tid, cid, uid, oid);
+    two users' objects with the same oid are distinct."""
     seen = set()
     unique = []
     for f in features:
-        if f.oid not in seen:
-            seen.add(f.oid)
+        key = (f.tid, f.cid, f.uid, f.oid)
+        if key not in seen:
+            seen.add(key)
             unique.append(f)
     return unique

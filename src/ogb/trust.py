@@ -18,8 +18,11 @@ same rule set from configuration:
 from __future__ import annotations
 
 import base64
+import hashlib
 import json
 import struct
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -41,6 +44,9 @@ from .names import Name, SYSTEM_ROOT
 CERT_COMPONENT = "certs"
 ADMIN_IDENTITY = "/OGB/admin"
 MAX_CHAIN_DEPTH = 8
+# Successful signature checks each TrustStore remembers (LRU); the same size
+# as an engine node's default content store.
+VERIFIED_MEMO_SIZE = 4096
 
 REASON_CERT_UNAVAILABLE = "cert-unavailable"
 REASON_BAD_CHAIN = "bad-chain"
@@ -242,6 +248,11 @@ class TrustStore:
     the query-handler wires this to a substrate GET so missing certificates
     are fetched on demand.  Engines in simulated mode run inside the event
     loop and are preloaded instead.
+
+    The final Ed25519 check runs at most once per distinct signed message:
+    successes are kept in a bounded LRU keyed by a digest of (public key,
+    signature, signed bytes), so a changed payload or a re-keyed certificate
+    never hits.  Envelope, certificate, chain and rule checks run every call.
     """
 
     def __init__(self, anchor: Certificate, rules: Optional[ValidatorRules] = None,
@@ -251,6 +262,10 @@ class TrustStore:
         self.fetcher = fetcher
         self._certs: dict[str, Certificate] = {anchor.name.text: anchor}
         self._chain_ok: set[str] = set()
+        self._keys: dict[bytes, Ed25519PublicKey] = {}
+        self._verified: OrderedDict[bytes, None] = OrderedDict()
+        # Socket-mode validators run on a pool of threads sharing one store.
+        self._verified_lock = threading.Lock()
 
     def add_certificate(self, cert: Certificate) -> None:
         self._certs[cert.name.text] = cert
@@ -325,10 +340,33 @@ class TrustStore:
             return False, reason
         if rule is not None and not identity_matches(rule, cert.identity, fields or {}):
             return False, REASON_IDENTITY_RULE
-        if not verify_raw(cert.public_key, envelope.signature,
-                          signed_message(name_text, payload)):
+        if not self._signature_ok(cert.public_key, envelope.signature,
+                                  signed_message(name_text, payload)):
             return False, REASON_INTEGRITY
         return True, None
+
+    def _signature_ok(self, public_key: bytes, signature: bytes, data: bytes) -> bool:
+        """`verify_raw`, memoized on success and with each key loaded once."""
+        # Length-prefix the variable fields so no two triples share a digest.
+        digest = hashlib.sha256(struct.pack(">II", len(public_key), len(signature))
+                                + public_key + signature + data).digest()
+        memo = self._verified
+        with self._verified_lock:
+            if digest in memo:
+                memo.move_to_end(digest)
+                return True
+        key = self._keys.get(public_key)
+        if key is None:
+            key = self._keys[public_key] = Ed25519PublicKey.from_public_bytes(public_key)
+        try:
+            key.verify(signature, data)
+        except InvalidSignature:
+            return False
+        with self._verified_lock:
+            memo[digest] = None
+            while len(memo) > VERIFIED_MEMO_SIZE:
+                memo.popitem(last=False)
+        return True
 
     def verify_tile_interest(self, name_text: str, payload: bytes,
                              envelope: Optional[TrustEnvelope], tid: str,

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,7 @@ from ogb.engine import (
     EngineConfig,
     bulk_channel,
 )
+from ogb.errors import StorageError
 from ogb.geodata import INLINE, REFERENCE, OgbData, OgbTile, make_ogb_data_set, parse_feature
 from ogb.grid import TileId
 from ogb.icn.core import Interest
@@ -305,6 +307,77 @@ def test_snapshot_folds_log(keyring, starbucks, tmp_path):
     reborn = make_engine(keyring, storage_dir=tmp_path / "e1")
     assert reborn.co_table == eng.co_table
     assert reborn.tile_tables == eng.tile_tables
+
+
+def assert_same_state(a, b):
+    assert a.co_table == b.co_table
+    assert a.tile_tables == b.tile_tables
+    assert a.cbf.counters == b.cbf.counters
+
+
+def test_torn_log_tail_is_cut_at_every_offset(keyring, starbucks, tmp_path):
+    items = signed_items(starbucks, keyring) + signed_items(shop(77), keyring)
+    before = make_engine(keyring, bf_m=4096)
+    before.bulk_insert(items[:-1])
+    after = make_engine(keyring, bf_m=4096)
+    after.bulk_insert(items)
+
+    eng = make_engine(keyring, storage_dir=tmp_path / "e1", bf_m=4096)
+    eng.bulk_insert(items)
+    log_path = tmp_path / "e1" / "log.jsonl"
+    full = log_path.read_bytes()
+    start = full.rindex(b"\n", 0, len(full) - 1) + 1
+
+    for cut in range(start, len(full)):
+        log_path.write_bytes(full[:cut])
+        reborn = make_engine(keyring, storage_dir=tmp_path / "e1", bf_m=4096)
+        assert_same_state(reborn, before)
+        assert log_path.read_bytes() == full[:start], cut
+        # The next append starts on a line of its own.
+        reborn.bulk_insert(items[-1:])
+        again = make_engine(keyring, storage_dir=tmp_path / "e1", bf_m=4096)
+        assert_same_state(again, after)
+
+
+def test_corrupt_log_line_raises_storage_error(keyring, starbucks, tmp_path):
+    eng = make_engine(keyring, storage_dir=tmp_path / "e1", bf_m=4096)
+    eng.bulk_insert(signed_items(starbucks, keyring))
+    log_path = tmp_path / "e1" / "log.jsonl"
+    lines = log_path.read_bytes().split(b"\n")
+    for index in (0, len(lines) - 2):       # the first and the last record
+        broken = list(lines)
+        broken[index] = broken[index][:20]
+        log_path.write_bytes(b"\n".join(broken))
+        with pytest.raises(StorageError):
+            make_engine(keyring, storage_dir=tmp_path / "e1", bf_m=4096)
+
+
+def test_crash_between_snapshot_replace_and_log_truncate(keyring, starbucks,
+                                                         tmp_path, monkeypatch):
+    eng = make_engine(keyring, storage_dir=tmp_path / "e1", bf_m=4096)
+    items = signed_items(starbucks, keyring)
+    eng.bulk_insert(items + signed_items(shop(77), keyring))
+    eng.snapshot()
+    eng.bulk_delete([it.name.name.text for it in items],
+                    trust.user_identity("Foo", "Alice"))
+
+    class Crash(Exception):
+        pass
+
+    replace = Path.replace
+
+    def replace_then_crash(self, target):
+        replace(self, target)
+        raise Crash()
+
+    monkeypatch.setattr(Path, "replace", replace_then_crash)
+    with pytest.raises(Crash):
+        eng.snapshot()
+    monkeypatch.undo()
+    assert (tmp_path / "e1" / "log.jsonl").read_text().count('"delete"') == 3
+
+    reborn = make_engine(keyring, storage_dir=tmp_path / "e1", bf_m=4096)
+    assert_same_state(reborn, eng)
 
 
 def test_bf_publication_log_serves_by_seq(keyring, starbucks):

@@ -70,6 +70,22 @@ def test_starbucks_insert_then_range_query():
                                "postFilterMs"}
 
 
+def test_users_sharing_an_oid_both_come_back():
+    cluster = world_cluster()
+    alice_qh, alice_ih = handlers(cluster, uid="Alice")
+    _, bob_ih = handlers(cluster, uid="Bob")
+    bob = starbucks_dict()
+    bob["properties"]["uid"] = "Bob"
+    bob["geometry"]["coordinates"] = [12.5205, 41.8955]
+    assert alice_ih.insert(starbucks_dict()).all_accepted
+    assert bob_ih.insert(bob).all_accepted
+
+    out = alice_qh.range_query(rome_query())
+    assert sorted((f.uid, f.oid) for f in out.features) == [("Alice", "1234"),
+                                                           ("Bob", "1234")]
+    assert out.counts["itemsAfterFilter"] == 2
+
+
 def test_address_cache_saves_resolutions():
     cluster = world_cluster()
     _, ih = handlers(cluster)

@@ -158,3 +158,7 @@ def test_dedupe_keeps_first():
     b = point_feature(2.5, 2.5, "x")
     c = point_feature(3.5, 3.5, "y")
     assert dedupe_features([a, b, c]) == [a, c]
+    raw = a.to_geojson()
+    raw["properties"]["uid"] = "V"
+    twin = parse_feature(raw)                # same oid, another user's object
+    assert dedupe_features([a, b, twin, c]) == [a, twin, c]

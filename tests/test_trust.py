@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import itertools
 import random
+import threading
+import time
+from collections import OrderedDict
 
 import pytest
 
@@ -231,3 +234,85 @@ def test_acceptance_matrix_has_single_accepting_cell(keyring):
         else:
             assert reason == trust.REASON_INTEGRITY
     assert accepted == [(True, True, True)]
+
+
+def test_memo_never_accepts_a_tampered_payload(keyring):
+    store = keyring.store()
+    kp, cert = keyring.user("Foo", "Alice")
+    env = sign_envelope(kp, cert, NAME, PAYLOAD)
+    for _ in range(2):
+        ok, reason = store.verify_data_content(NAME, PAYLOAD, env, tid="Foo", uid="Alice")
+        assert ok and reason is None
+    ok, reason = store.verify_data_content(NAME, PAYLOAD + b" ", env,
+                                           tid="Foo", uid="Alice")
+    assert not ok and reason == trust.REASON_INTEGRITY
+    # Bytes shifted from the message into the signature make another triple.
+    data = signed_message(NAME, PAYLOAD)
+    assert not store._signature_ok(cert.public_key, env.signature + data[:1], data[1:])
+
+
+def test_memo_rejects_old_signature_after_rekey(keyring):
+    store = keyring.store()
+    kp, cert = keyring.user("Foo", "Alice")
+    env = sign_envelope(kp, cert, NAME, PAYLOAD)
+    assert store.verify_data_content(NAME, PAYLOAD, env, tid="Foo", uid="Alice")[0]
+
+    tkp, tcert = keyring.tenant("Foo")
+    new_kp = KeyPair.from_seed(b"\x5a" * 32)
+    store.add_certificate(issue(tkp, tcert, cert.identity, new_kp.public_bytes))
+    ok, reason = store.verify_data_content(NAME, PAYLOAD, env, tid="Foo", uid="Alice")
+    assert not ok and reason == trust.REASON_INTEGRITY
+    fresh = sign_envelope(new_kp, cert, NAME, PAYLOAD)
+    assert store.verify_data_content(NAME, PAYLOAD, fresh, tid="Foo", uid="Alice")[0]
+
+
+def _signed(keyring, count):
+    kp, cert = keyring.user("Foo", "Alice")
+    return [(NAME + "/%d" % i, PAYLOAD,
+             sign_envelope(kp, cert, NAME + "/%d" % i, PAYLOAD)) for i in range(count)]
+
+
+def test_memo_stays_within_its_bound(keyring, monkeypatch):
+    monkeypatch.setattr(trust, "VERIFIED_MEMO_SIZE", 5)
+    store = keyring.store()
+    for name, payload, env in _signed(keyring, 12) * 2:
+        assert store.verify(name, payload, env)[0]
+        assert len(store._verified) <= 5
+    assert len(store._verified) == 5
+
+
+class _YieldingMemo(OrderedDict):
+    """Yields the GIL after each membership test, opening the window in which
+    an unguarded check-then-`move_to_end` races with another thread's
+    eviction."""
+
+    def __contains__(self, key):
+        found = super().__contains__(key)
+        time.sleep(0)
+        return found
+
+
+def test_memo_is_safe_across_threads(keyring, monkeypatch):
+    # Four messages through a memo of three, so hits and evictions interleave.
+    monkeypatch.setattr(trust, "VERIFIED_MEMO_SIZE", 3)
+    store = keyring.store()
+    store._verified = _YieldingMemo()
+    messages = _signed(keyring, 4)
+    errors = []
+
+    def worker(offset):
+        try:
+            for i in range(200):
+                name, payload, env = messages[(offset + i) % len(messages)]
+                assert store.verify(name, payload, env) == (True, None)
+        except Exception as exc:             # surfaced in the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(store._verified) <= 3
