@@ -19,6 +19,8 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy
+
 from .errors import StorageError
 from .names import SCHEME, SYSTEM_ROOT
 
@@ -26,6 +28,10 @@ log = logging.getLogger(__name__)
 
 DEFAULT_M = 1 << 20
 DEFAULT_H = 7
+
+# Counters packed per step by CountingBloomFilter.bitmap(); a multiple of 8,
+# so each step fills whole bytes, and small, so no m-sized temporary is made.
+_BITMAP_CHUNK = 1 << 16
 
 BF_TOPIC = SCHEME + SYSTEM_ROOT + "/BF"
 BF_QUERY_ROOT = SCHEME + SYSTEM_ROOT + "/bf-query"
@@ -129,10 +135,6 @@ class BloomFilter:
                                % (len(data), len(self.bits)))
         self.bits[:] = data
 
-    def clear(self) -> None:
-        for i in range(len(self.bits)):
-            self.bits[i] = 0
-
 
 class CountingBloomFilter:
     """Per-engine bucket counters over the same hash family as the global BF.
@@ -178,20 +180,17 @@ class CountingBloomFilter:
                    for i in bucket_indexes(key, self.m, self.h))
 
     def bitmap(self) -> bytes:
-        """The counter > 0 bit vector, as held for this engine by the server."""
-        bits = bytearray((self.m + 7) // 8)
-        for index, count in enumerate(self.counters):
-            if count:
-                bits[index >> 3] |= 1 << (index & 7)
-        return bytes(bits)
+        """The counter > 0 bit vector, as held for this engine by the server.
 
-
-def insert_key(cbf: CountingBloomFilter, tile_prefix: str) -> list[BfPublication]:
-    return cbf.insert(tile_prefix)
-
-
-def remove_key(cbf: CountingBloomFilter, tile_prefix: str) -> list[BfPublication]:
-    return cbf.remove(tile_prefix)
+        Bucket i is bit ``i & 7`` of byte ``i >> 3``.
+        """
+        counts = numpy.frombuffer(self.counters, dtype=numpy.uint32)
+        bits = numpy.empty((self.m + 7) // 8, dtype=numpy.uint8)
+        for start in range(0, self.m, _BITMAP_CHUNK):
+            packed = numpy.packbits(counts[start:start + _BITMAP_CHUNK] != 0,
+                                    bitorder="little")
+            bits[start >> 3:(start >> 3) + len(packed)] = packed
+        return bits.tobytes()
 
 
 def encode_digest(seq: int, bitmap: bytes) -> bytes:
@@ -256,11 +255,10 @@ class BloomServer:
         self._rebuild_global()
 
     def _rebuild_global(self) -> None:
-        merged = bytearray(len(self.global_bf.bits))
+        merged = 0
         for bits in self.engine_bits.values():
-            for i, byte in enumerate(bits.bits):
-                merged[i] |= byte
-        self.global_bf.bits[:] = merged
+            merged |= int.from_bytes(bits.bits, "little")
+        self.global_bf.bits[:] = merged.to_bytes(len(self.global_bf.bits), "little")
 
     def membership(self, prefixes: Sequence[str]) -> list[bool]:
         return [self.global_bf.contains(p) for p in prefixes]

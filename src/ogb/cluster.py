@@ -72,19 +72,23 @@ class ClusterConfig:
         ids = [e.engine_id for e in self.engines]
         if len(set(ids)) != len(ids):
             raise ConfigError("duplicate engine ids: %r" % ids)
-        owned: list[tuple[str, tuple[str, ...]]] = []
+        owned: list[tuple[tuple[str, ...], int, str]] = []
         for ecfg in self.engines:
             if not ecfg.served_prefixes:
                 raise ConfigError("engine %s serves no prefixes" % ecfg.engine_id)
             for prefix in ecfg.served_prefixes:
-                owned.append((ecfg.engine_id, Name.from_text(prefix).components))
-        for i, (eid_a, a) in enumerate(owned):
-            for eid_b, b in owned[i + 1:]:
-                shorter = min(len(a), len(b))
-                if a[:shorter] == b[:shorter]:
-                    raise ConfigError(
-                        "served prefixes overlap: %s:%s vs %s:%s"
-                        % (eid_a, "/".join(a), eid_b, "/".join(b)))
+                owned.append((Name.from_text(prefix).components, len(owned),
+                              ecfg.engine_id))
+        # Sorted by components, every tuple between a prefix and one of its
+        # extensions also starts with that prefix, so neighbours suffice.
+        owned.sort()
+        for first, second in zip(owned, owned[1:]):
+            if second[0][:len(first[0])] == first[0]:
+                (a, _, eid_a), (b, _, eid_b) = sorted((first, second),
+                                                      key=lambda o: o[1])
+                raise ConfigError(
+                    "served prefixes overlap: %s:%s vs %s:%s"
+                    % (eid_a, "/".join(a), eid_b, "/".join(b)))
         if self.mode == "socket":
             for ecfg in self.engines:
                 if not ecfg.port:

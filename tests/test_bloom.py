@@ -9,14 +9,13 @@ from ogb.bloom import (
     UP,
     BfPublication,
     BloomFilter,
+    DEFAULT_M,
     BloomServer,
     CountingBloomFilter,
     bucket_indexes,
     decode_digest,
     encode_digest,
-    insert_key,
     publication_name,
-    remove_key,
     theoretical_fpr,
 )
 from ogb.errors import StorageError
@@ -47,24 +46,24 @@ def test_bloom_filter_membership():
 
 def test_cbf_transition_publications():
     cbf = CountingBloomFilter(m=1 << 16, h=7, engine_id="e1")
-    ups = insert_key(cbf, PREFIX)
+    ups = cbf.insert(PREFIX)
     assert len(ups) == len(set(bucket_indexes(PREFIX, 1 << 16, 7)))
     assert all(p.direction == UP and p.engine_id == "e1" for p in ups)
     assert [p.seq for p in ups] == list(range(len(ups)))
-    assert insert_key(cbf, PREFIX) == []           # second copy: counters 1 -> 2
-    assert remove_key(cbf, PREFIX) == []           # back to 1: no transition
-    downs = remove_key(cbf, PREFIX)
+    assert cbf.insert(PREFIX) == []           # second copy: counters 1 -> 2
+    assert cbf.remove(PREFIX) == []           # back to 1: no transition
+    downs = cbf.remove(PREFIX)
     assert {p.bucket_index for p in downs} == {p.bucket_index for p in ups}
     assert all(p.direction == DOWN for p in downs)
     assert not cbf.contains(PREFIX)
-    ups2 = insert_key(cbf, PREFIX)
+    ups2 = cbf.insert(PREFIX)
     assert {p.bucket_index for p in ups2} == {p.bucket_index for p in ups}
 
 
 def test_cbf_underflow_raises():
     cbf = CountingBloomFilter(m=1 << 12, h=3, engine_id="e1")
     with pytest.raises(StorageError):
-        remove_key(cbf, "ndn:/OGB/0/0/GPS-ID")
+        cbf.remove("ndn:/OGB/0/0/GPS-ID")
 
 
 def test_publication_roundtrip():
@@ -123,6 +122,68 @@ def test_digest_recovery_reproduces_state():
     # Publications after recovery keep flowing with the preserved sequence.
     extra = a.insert("ndn:/OGB/0/0/00/GPS-ID")
     assert extra and all(fresh.apply(p) for p in extra)
+
+
+def reference_bitmap(cbf: CountingBloomFilter) -> bytes:
+    """The bitmap by its definition: bucket i is bit i & 7 of byte i >> 3."""
+    bits = bytearray((cbf.m + 7) // 8)
+    for index, count in enumerate(cbf.counters):
+        if count:
+            bits[index >> 3] |= 1 << (index & 7)
+    return bytes(bits)
+
+
+def test_bitmap_matches_reference_definition():
+    m = 3 * (1 << 16) + 5                 # not a multiple of 8 or of a chunk
+    cbf = CountingBloomFilter(m=m, h=7, engine_id="e1")
+    keys = ["ndn:/OGB/%d/%d/GPS-ID" % (i % 37, i) for i in range(300)]
+    for key in keys:
+        cbf.insert(key)
+    for key in keys[:40]:
+        cbf.insert(key)                   # counters above 1
+    gone = "ndn:/OGB/5/5/55/GPS-ID"
+    cbf.insert(gone)
+    cbf.remove(gone)                      # its counters went back to 0
+    assert not cbf.contains(gone)
+    for index in (0, (1 << 16) - 1, 1 << 16, m - 1):
+        cbf.counters[index] += 3
+    bitmap = cbf.bitmap()
+    assert len(bitmap) == (m + 7) // 8
+    assert bitmap == reference_bitmap(cbf)
+    assert bitmap[0] & 1 and bitmap[(m - 1) >> 3] & (1 << ((m - 1) & 7))
+
+
+def test_digest_payload_is_unchanged_at_default_size():
+    cbf = CountingBloomFilter(engine_id="e1")
+    for i in range(500):
+        cbf.insert("ndn:/OGB/%d/%d/%02d/GPS-ID" % (i % 180, i % 90, i % 100))
+    cbf.remove("ndn:/OGB/0/0/00/GPS-ID")
+    assert cbf.m == DEFAULT_M
+    assert (encode_digest(cbf.seq, cbf.bitmap())
+            == encode_digest(cbf.seq, reference_bitmap(cbf)))
+
+
+def test_digest_reload_keeps_or_semantics():
+    m, h = 1 << 16, 7
+    j, k, other = PREFIX, "ndn:/OGB/-74/40/98/GPS-ID", "ndn:/OGB/0/51/GPS-ID"
+    engines = ["A", "B", "C"]
+    cbfs = {e: CountingBloomFilter(m=m, h=h, engine_id=e) for e in engines}
+    reloaded = BloomServer(m=m, h=h, engines=engines)
+    replayed = BloomServer(m=m, h=h, engines=engines)
+    history = cbfs["A"].insert(j) + cbfs["A"].insert(k) + cbfs["B"].insert(k) \
+        + cbfs["C"].insert(other)
+    for pub in history:
+        assert reloaded.apply(pub) and replayed.apply(pub)
+    removals = cbfs["A"].remove(j) + cbfs["A"].remove(k)
+    for pub in removals:
+        assert replayed.apply(pub)
+    seq, bitmap = decode_digest(encode_digest(cbfs["A"].seq, cbfs["A"].bitmap()))
+    reloaded.load_digest("A", seq, bitmap)
+    for server in (reloaded, replayed):
+        # A went void for both keys, but B still holds K.
+        assert server.membership([j, k, other]) == [False, True, True]
+    assert reloaded.global_bf.to_bytes() == replayed.global_bf.to_bytes()
+    assert reloaded.last_seq == replayed.last_seq
 
 
 def test_membership_rates():

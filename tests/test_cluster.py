@@ -99,6 +99,24 @@ def test_config_rejects_overlapping_prefixes():
         ClusterConfig.from_dict(data)
 
 
+def test_config_overlap_check_is_by_component():
+    def config(*served):
+        data = two_zone_dict()
+        data["engines"] = [{"id": "e%d" % i, "servedPrefixes": list(prefixes)}
+                           for i, prefixes in enumerate(served, 1)]
+        return data
+
+    # A string prefix but not a component prefix: accepted.
+    ClusterConfig.from_dict(config(["ndn:/OGB/1"], ["ndn:/OGB/10"]))
+    with pytest.raises(ConfigError, match="overlap") as err:
+        ClusterConfig.from_dict(config(["ndn:/OGB/0", "ndn:/OGB/1"],
+                                       ["ndn:/OGB/10"], ["ndn:/OGB/1/23"]))
+    assert "e1:" in str(err.value) and "e3:" in str(err.value)
+    with pytest.raises(ConfigError, match="overlap") as err:
+        ClusterConfig.from_dict(config(["ndn:/OGB/-74", "ndn:/OGB/-74"]))
+    assert str(err.value).count("e1:") == 2
+
+
 def test_config_requires_seed_in_sim_mode():
     data = two_zone_dict()
     del data["seed"]
