@@ -1,11 +1,18 @@
 """Tile liveness filters: a global Bloom filter fed by per-engine counters.
 
 Engines track how many stored items hash into each bucket with a counting
-filter; whenever a bucket crosses zero (either way) they publish the
-transition.  The server keeps one bit vector per engine and ORs them, so a
-tile that became void on one engine stays visible while another engine still
-holds data for it.  All processes hash the canonical tile-prefix string with
-the same fixed-seed family, which keeps bucket indices identical everywhere.
+filter; every bucket that crosses zero (either way) is a transition with its
+own sequence number.  An engine publishes the transitions of one bulk request
+together, as one signed publication (or a few consecutive ones, at most
+`PUBLICATION_MAX` transitions each) named by the first sequence number.  The
+filter server checks that each publication and each digest is signed by the
+engine itself, and that a publication carries the engine id and sequence
+number it asked for; it drops anything else, reloads that engine's signed
+digest, and follows on from there.  The server keeps one bit vector per
+engine and ORs them, so a tile
+that became void on one engine stays visible while another engine still holds
+data for it.  All processes hash the canonical tile-prefix string with the
+same fixed-seed family, which keeps bucket indices identical everywhere.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import base64
 import json
 import logging
 import math
+import threading
 import zlib
 from array import array
 from dataclasses import dataclass
@@ -43,6 +51,11 @@ _MASK64 = (1 << 64) - 1
 
 UP = "up"
 DOWN = "down"
+
+# Transitions per signed publication.  At the default filter size one
+# transition encodes in at most 17 bytes (`[1048575,"down"],`), so a full
+# publication fits in one 8000-byte segment.
+PUBLICATION_MAX = 400
 
 
 def _fnv1a(data: bytes, seed: int) -> int:
@@ -193,6 +206,39 @@ class CountingBloomFilter:
         return bits.tobytes()
 
 
+def publication_chunks(pubs: Sequence[BfPublication],
+                       ) -> list[Sequence[BfPublication]]:
+    """Consecutive runs of at most PUBLICATION_MAX transitions."""
+    return [pubs[i:i + PUBLICATION_MAX]
+            for i in range(0, len(pubs), PUBLICATION_MAX)]
+
+
+def encode_publication(pubs: Sequence[BfPublication]) -> bytes:
+    """One engine's consecutive transitions, named by the first seq."""
+    return json.dumps({
+        "engineId": pubs[0].engine_id,
+        "seq": pubs[0].seq,
+        "transitions": [[p.bucket_index, p.direction] for p in pubs],
+    }, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def decode_publication(payload: bytes) -> list[BfPublication]:
+    """The transitions of a publication; StorageError when malformed."""
+    try:
+        data = json.loads(payload.decode("utf-8"))
+        engine_id, seq = data["engineId"], data["seq"]
+        pubs = [BfPublication(engine_id, bucket, direction, seq + offset)
+                for offset, (bucket, direction)
+                in enumerate(data["transitions"])]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise StorageError("malformed Bloom publication: %s" % exc) from exc
+    if not isinstance(engine_id, str) or type(seq) is not int or not all(
+            type(p.bucket_index) is int and p.direction in (UP, DOWN)
+            for p in pubs):
+        raise StorageError("malformed Bloom publication: bad field types")
+    return pubs
+
+
 def encode_digest(seq: int, bitmap: bytes) -> bytes:
     return json.dumps({
         "seq": seq,
@@ -219,6 +265,10 @@ class BloomServer:
         self.global_bf = BloomFilter(m, h)
         self.applied = 0
         self.dropped = 0
+        self.rejected = 0
+        # In socket mode each engine's subscription applies and reloads on
+        # its own thread, and a reload rebuilds the OR from every engine.
+        self._lock = threading.Lock()
 
     def register_engine(self, engine_id: str) -> None:
         if engine_id not in self.engine_bits:
@@ -247,12 +297,41 @@ class BloomServer:
         self.applied += 1
         return True
 
+    def apply_publication(self, engine_id: str, seq: int, payload: bytes) -> bool:
+        """Apply a publication fetched as `engine_id`'s `seq`, its signature
+        already checked.  A payload that does not parse, names another
+        engine or seq, or holds a bucket outside the filter is rejected
+        whole: nothing of it is applied."""
+        try:
+            pubs = decode_publication(payload)
+        except StorageError as exc:
+            self.reject(engine_id, seq, str(exc))
+            return False
+        if not pubs or pubs[0].engine_id != engine_id or pubs[0].seq != seq:
+            self.reject(engine_id, seq, "names another engine or seq")
+            return False
+        if not all(0 <= p.bucket_index < self.m for p in pubs):
+            self.reject(engine_id, seq, "bucket outside the filter")
+            return False
+        with self._lock:
+            for pub in pubs:
+                self.apply(pub)
+        return True
+
+    def reject(self, engine_id: str, seq: int, reason: str) -> None:
+        """Count a publication that failed its checks."""
+        log.warning("Bloom publication %d of %s rejected: %s",
+                    seq, engine_id, reason)
+        with self._lock:
+            self.rejected += 1
+
     def load_digest(self, engine_id: str, seq: int, bitmap: bytes) -> None:
         """Replace an engine's state wholesale (restart recovery)."""
-        self.register_engine(engine_id)
-        self.engine_bits[engine_id].load_bytes(bitmap)
-        self.last_seq[engine_id] = seq - 1
-        self._rebuild_global()
+        with self._lock:
+            self.register_engine(engine_id)
+            self.engine_bits[engine_id].load_bytes(bitmap)
+            self.last_seq[engine_id] = seq - 1
+            self._rebuild_global()
 
     def _rebuild_global(self) -> None:
         merged = 0
@@ -271,6 +350,7 @@ class BloomServer:
             "lastSeq": dict(self.last_seq),
             "applied": self.applied,
             "dropped": self.dropped,
+            "rejected": self.rejected,
             "globalBitsSet": self.global_bf.bit_count(),
             "theoreticalFprAtCurrentLoad": self._fpr_estimate(),
         }

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,7 +23,7 @@ from typing import Optional
 
 from . import bloom, trust
 from .engine import Engine, EngineConfig, LruCache, bulk_channel
-from .errors import ConfigError, OgbError
+from .errors import ConfigError, OgbError, ValidationError
 from .geodata import canonical_json
 from .icn.core import build_segments
 from .icn.sim import SimNetwork, SimSubstrate
@@ -40,6 +41,34 @@ BF_QUERY_ROOT = bloom.BF_QUERY_ROOT
 CERT_ROOT = SCHEME + SYSTEM_ROOT + "/certs"
 
 CERT_FRESHNESS_MS = 3600 * 1000.0
+
+
+def _show(value) -> str:
+    return json.dumps(value, default=repr)
+
+
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError("%s must be a JSON object, got %s" % (where, _show(value)))
+    return value
+
+
+def _integer(value, where: str, minimum: Optional[int] = None) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or (
+            minimum is not None and value < minimum):
+        raise ConfigError("%s must be an integer%s, got %s"
+                          % (where, "" if minimum is None else " >= %d" % minimum,
+                             _show(value)))
+    return value
+
+
+def _number(value, where: str, positive: bool = False) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+            value > 0 if positive else value >= 0):
+        raise ConfigError("%s must be a %s number, got %s"
+                          % (where, "positive" if positive else "non-negative",
+                             _show(value)))
+    return float(value)
 
 
 @dataclass
@@ -67,6 +96,20 @@ class ClusterConfig:
             raise ConfigError("mode must be sim or socket, got %r" % self.mode)
         if self.mode == "sim" and self.seed is None:
             raise ConfigError("sim mode requires a seed")
+        if self.seed is not None:
+            _integer(self.seed, "seed")
+        for value, where in ((self.keys_dir, "keysDir"),
+                             (self.storage_dir, "storageDir")):
+            if value is not None and not isinstance(value, (str, os.PathLike)):
+                raise ConfigError("%s must be a path string, got %s"
+                                  % (where, _show(value)))
+        _integer(self.bf_m, "bfServer.m", 1)
+        _integer(self.bf_h, "bfServer.h", 1)
+        if self.handler_bandwidth_mbps is not None:
+            # Zero would divide by zero in the link model.
+            _number(self.handler_bandwidth_mbps, "topology.handlerLinkMbps",
+                    positive=True)
+        _number(self.link_latency_ms, "topology.latencyMs")
         if not self.engines:
             raise ConfigError("no engines configured")
         ids = [e.engine_id for e in self.engines]
@@ -126,13 +169,22 @@ class ClusterConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ClusterConfig":
+        data = _object(data, "config")
         bf = data.get("bfServer")
-        bf_m = int(bf.get("m", bloom.DEFAULT_M)) if bf else bloom.DEFAULT_M
-        bf_h = int(bf.get("h", bloom.DEFAULT_H)) if bf else bloom.DEFAULT_H
-        defaults = data.get("defaults", {})
-        engines = [EngineConfig.from_dict({**defaults, **e}, bf_m=bf_m, bf_h=bf_h)
-                   for e in data.get("engines", [])]
-        topology = data.get("topology", {})
+        if bf is not None:
+            _object(bf, "bfServer")
+        bf_m = _integer(bf.get("m", bloom.DEFAULT_M) if bf else bloom.DEFAULT_M,
+                        "bfServer.m", 1)
+        bf_h = _integer(bf.get("h", bloom.DEFAULT_H) if bf else bloom.DEFAULT_H,
+                        "bfServer.h", 1)
+        defaults = _object(data.get("defaults", {}), "defaults")
+        entries = data.get("engines", [])
+        if not isinstance(entries, list):
+            raise ConfigError("engines must be a list, got %s" % _show(entries))
+        engines = [cls._engine({**defaults, **_object(e, "engines[%d]" % i)},
+                               "engines[%d]" % i, bf_m, bf_h)
+                   for i, e in enumerate(entries)]
+        topology = _object(data.get("topology", {}), "topology")
         bandwidth = topology.get("handlerLinkMbps", 200.0)
         config = cls(
             mode=data.get("mode", "sim"),
@@ -143,19 +195,39 @@ class ClusterConfig:
             bf_enabled=bf is not None,
             bf_m=bf_m,
             bf_h=bf_h,
-            handler_bandwidth_mbps=float(bandwidth) if bandwidth is not None else None,
-            link_latency_ms=float(topology.get("latencyMs", 0.0)),
-            rules=trust.ValidatorRules.from_config(data.get("trustRules", {})),
+            handler_bandwidth_mbps=None if bandwidth is None else _number(
+                bandwidth, "topology.handlerLinkMbps", positive=True),
+            link_latency_ms=_number(topology.get("latencyMs", 0.0),
+                                    "topology.latencyMs"),
+            rules=trust.ValidatorRules.from_config(
+                _object(data.get("trustRules", {}), "trustRules")),
         )
         if bf:
-            address = bf.get("address", {})
-            config.bf_host = address.get("host", "")
-            config.bf_port = int(address.get("port", 0))
-        repo = data.get("certRepo", {}).get("address", {})
-        config.cert_host = repo.get("host", "")
-        config.cert_port = int(repo.get("port", 0))
+            config.bf_host, config.bf_port = cls._address(bf, "bfServer")
+        config.cert_host, config.cert_port = cls._address(
+            _object(data.get("certRepo", {}), "certRepo"), "certRepo")
         config.validate()
         return config
+
+    @staticmethod
+    def _engine(data: dict, where: str, bf_m: int, bf_h: int) -> EngineConfig:
+        prefixes = data.get("servedPrefixes")
+        if not isinstance(data.get("id"), str) or not isinstance(prefixes, list) \
+                or not all(isinstance(p, str) for p in prefixes):
+            raise ConfigError("%s needs a string id and a list of servedPrefixes"
+                              % where)
+        try:
+            return EngineConfig.from_dict(data, bf_m=bf_m, bf_h=bf_h)
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ConfigError("%s: %s" % (where, exc)) from None
+
+    @staticmethod
+    def _address(section: dict, where: str) -> tuple[str, int]:
+        address = _object(section.get("address", {}), where + ".address")
+        host = address.get("host", "")
+        if not isinstance(host, str):
+            raise ConfigError("%s.address.host must be a string" % where)
+        return host, _integer(address.get("port", 0), where + ".address.port", 0)
 
     @classmethod
     def load(cls, path) -> "ClusterConfig":
@@ -308,6 +380,64 @@ class BloomService:
         return cached[seg], 0.0
 
 
+class FilterFeed:
+    """The Bloom server's intake: each engine's signed digest, then its
+    publications in seq order, fetched over one substrate.
+
+    Both gets pass a validator that admits only segments signed by the
+    engine they came from, and a publication must also carry that engine's
+    id and the seq it was asked for.  One that fails either check is counted
+    in the server's `rejected` and never applied; the engine's digest is then
+    reloaded under a fresh name, which no cached forgery can answer, and the
+    subscription follows on from there.
+    """
+
+    def __init__(self, server: bloom.BloomServer, trust_store: trust.TrustStore,
+                 substrate):
+        self.server = server
+        self.trust_store = trust_store
+        self.substrate = substrate
+        self._nonce = 0
+
+    def validator(self, engine_id: str):
+        """Raises ValidationError on a segment the engine did not sign."""
+        def validate(content) -> None:
+            ok, reason = self.trust_store.verify_engine_content(
+                content.name, content.payload, content.envelope, engine_id)
+            if not ok:
+                raise ValidationError(reason, "%s is not signed by engine %s"
+                                      % (content.name, engine_id))
+
+        return validate
+
+    def recover(self, engine_id: str) -> None:
+        """Replace the server's view of an engine with its signed digest."""
+        self._nonce += 1
+        name = "%s/digest-%d" % (bulk_channel(engine_id), self._nonce)
+        result = self.substrate.get(name, payload=canonical_json({"op": "digest"}),
+                                    validator=self.validator(engine_id))
+        seq, bitmap = bloom.decode_digest(result.payload)
+        self.server.load_digest(engine_id, seq, bitmap)
+
+    def next_publication(self, engine_id: str) -> tuple[int, str]:
+        """The seq and the name of the next publication to wait for."""
+        seq = self.server.last_seq[engine_id] + 1
+        return seq, bloom.publication_name(engine_id, seq)
+
+    def deliver(self, engine_id: str, seq: int, fetched) -> None:
+        """Apply the fetched publication `seq`; when `fetched` is the
+        ValidationError its get failed with, or its payload fails the
+        server's checks, reload the engine's digest instead."""
+        if isinstance(fetched, ValidationError):
+            self.server.reject(engine_id, seq, str(fetched))
+        elif self.server.apply_publication(engine_id, seq, fetched.payload):
+            return
+        try:
+            self.recover(engine_id)
+        except OgbError as exc:
+            log.warning("digest reload for %s failed: %s", engine_id, exc)
+
+
 class SimCluster:
     """A full deployment on one event loop, addressed through `substrate`."""
 
@@ -321,7 +451,6 @@ class SimCluster:
         self.cert_repo = CertRepo()
         self.engines: dict[str, Engine] = {}
         self.engine_nodes = {}
-        self._nonce = 0
         self._announcements: list[tuple[str, str]] = []
 
         admin_kp, admin_cert = self.keys.admin()
@@ -339,7 +468,7 @@ class SimCluster:
             self._add_engine(ecfg, admin_cert)
 
         self.bloom_server = None
-        self.bf_substrate = None
+        self.bf_feed = None
         if config.bf_enabled:
             self.bloom_server = bloom.BloomServer(
                 config.bf_m, config.bf_h,
@@ -350,7 +479,11 @@ class SimCluster:
             bf_node.attach_producer(BF_QUERY_ROOT,
                                     BloomService(self.bloom_server).producer)
             self._announcements.append((BF_QUERY_ROOT, BF_SERVER_ID))
-            self.bf_substrate = SimSubstrate(self.network, bf_node)
+            self.bf_feed = FilterFeed(
+                self.bloom_server,
+                trust.TrustStore(admin_cert, rules=config.rules,
+                                 fetcher=self.cert_repo.get_wire),
+                SimSubstrate(self.network, bf_node))
 
         cert_node = self.network.add_node(CERT_REPO_ID)
         self.network.connect(CERT_REPO_ID, SWITCH_ID,
@@ -364,9 +497,9 @@ class SimCluster:
 
         self.substrate = SimSubstrate(self.network, handler)
 
-        if self.bloom_server is not None:
+        if self.bf_feed is not None:
             for ecfg in config.engines:
-                self._recover_engine_filter(ecfg.engine_id)
+                self.bf_feed.recover(ecfg.engine_id)
                 self._subscribe(ecfg.engine_id)
 
     def _add_engine(self, ecfg: EngineConfig, anchor: trust.Certificate) -> None:
@@ -392,41 +525,24 @@ class SimCluster:
         node.attach_producer(topic, engine.handle_bf_interest)
         self._announcements.append((topic, ecfg.engine_id))
 
-        def publish(pub, _engine=engine, _node=node):
-            _node.satisfy(_engine.bf_log[pub.seq])
-
-        engine.publish_sink = publish
+        engine.publish_sink = node.satisfy
         self.engines[ecfg.engine_id] = engine
         self.engine_nodes[ecfg.engine_id] = node
 
     # -- bloom server wiring -------------------------------------------------
 
-    def _service_name(self, engine_id: str, tag: str) -> str:
-        self._nonce += 1
-        return "%s/%s-%d" % (bulk_channel(engine_id), tag, self._nonce)
-
-    def _recover_engine_filter(self, engine_id: str) -> None:
-        """Seed the server's view from the engine's digest (restart safety)."""
-        result = self.bf_substrate.get(
-            self._service_name(engine_id, "digest"),
-            payload=canonical_json({"op": "digest"}))
-        seq, bitmap = bloom.decode_digest(result.payload)
-        self.bloom_server.load_digest(engine_id, seq, bitmap)
-
     def _subscribe(self, engine_id: str) -> None:
-        """Long-lived pending interest for the engine's next transition."""
-        seq = self.bloom_server.last_seq[engine_id] + 1
-        future = self.bf_substrate.get_async(
-            bloom.publication_name(engine_id, seq), lifetime_ms=None)
+        """Long-lived pending interest for the engine's next publication."""
+        seq, name = self.bf_feed.next_publication(engine_id)
+        future = self.bf_feed.substrate.get_async(
+            name, validator=self.bf_feed.validator(engine_id), lifetime_ms=None)
 
         def deliver(fut):
-            if fut.error is not None:
+            if fut.error is not None and not isinstance(fut.error, ValidationError):
                 log.warning("bf subscription for %s failed: %s",
                             engine_id, fut.error)
                 return
-            pub = bloom.BfPublication.from_dict(
-                json.loads(fut.value.payload.decode("utf-8")))
-            self.bloom_server.apply(pub)
+            self.bf_feed.deliver(engine_id, seq, fut.error or fut.value)
             self._subscribe(engine_id)
 
         future.add_done_callback(deliver)
@@ -497,7 +613,6 @@ class SocketCluster:
         self.cert_repo = CertRepo()
         self.engines: dict[str, Engine] = {}
         self.servers: dict[str, ContentServer] = {}
-        self._nonce = 0
         self._stopping = False
         self._threads: list = []
 
@@ -515,6 +630,7 @@ class SocketCluster:
         self.bloom_server = None
         self.bf_server = None
         self.bf_client = None
+        self.bf_feed = None
         if config.bf_enabled:
             self.bloom_server = bloom.BloomServer(
                 config.bf_m, config.bf_h,
@@ -551,10 +667,7 @@ class SocketCluster:
         server.attach_producer("%s/%s" % (bloom.BF_TOPIC, ecfg.engine_id),
                                engine.handle_bf_interest)
 
-        def publish(pub, _engine=engine, _server=server):
-            _server.publish(_engine.bf_log[pub.seq])
-
-        engine.publish_sink = publish
+        engine.publish_sink = server.publish
         self.engines[ecfg.engine_id] = engine
         self.servers[ecfg.engine_id] = server
 
@@ -567,8 +680,13 @@ class SocketCluster:
         if self.bloom_server is not None:
             self.bf_client = SocketSubstrate(
                 [server.address for server in self.servers.values()])
+            self.bf_feed = FilterFeed(
+                self.bloom_server,
+                trust.TrustStore(self.anchor, rules=self.config.rules,
+                                 fetcher=self._cert_lookup),
+                self.bf_client)
             for ecfg in self.config.engines:
-                self._recover_engine_filter(ecfg.engine_id)
+                self.bf_feed.recover(ecfg.engine_id)
             for ecfg in self.config.engines:
                 thread = threading.Thread(
                     target=self._subscription_loop, args=(ecfg.engine_id,),
@@ -588,31 +706,21 @@ class SocketCluster:
         if self.bf_server is not None:
             self.bf_server.stop()
 
-    def _service_name(self, engine_id: str, tag: str) -> str:
-        self._nonce += 1
-        return "%s/%s-%d" % (bulk_channel(engine_id), tag, self._nonce)
-
-    def _recover_engine_filter(self, engine_id: str) -> None:
-        result = self.bf_client.get(
-            self._service_name(engine_id, "digest"),
-            payload=canonical_json({"op": "digest"}))
-        seq, bitmap = bloom.decode_digest(result.payload)
-        self.bloom_server.load_digest(engine_id, seq, bitmap)
-
     def _subscription_loop(self, engine_id: str) -> None:
         while not self._stopping:
-            seq = self.bloom_server.last_seq[engine_id] + 1
+            seq, name = self.bf_feed.next_publication(engine_id)
             try:
-                result = self.bf_client.get(
-                    bloom.publication_name(engine_id, seq), lifetime_ms=None)
+                fetched = self.bf_client.get(
+                    name, validator=self.bf_feed.validator(engine_id),
+                    lifetime_ms=None)
+            except ValidationError as exc:
+                fetched = exc
             except OgbError as exc:
                 if not self._stopping:
                     log.warning("bf subscription for %s ended: %s",
                                 engine_id, exc)
                 return
-            pub = bloom.BfPublication.from_dict(
-                json.loads(result.payload.decode("utf-8")))
-            self.bloom_server.apply(pub)
+            self.bf_feed.deliver(engine_id, seq, fetched)
 
     def addresses(self) -> list[tuple[str, int]]:
         peers = [server.address for server in self.servers.values()]

@@ -5,8 +5,9 @@ Storage is an in-memory CO-table (full data name to wire bytes) plus one
 tile-table per grid level mapping tile-prefix to the names stored under it.
 Durability comes from an append log replayed over the latest snapshot, so a
 restarted engine answers queries byte-identically.  A counting Bloom filter
-tracks per-bucket liveness of the engine's tile-prefixes; bucket transitions
-become publications for the global filter server.
+tracks per-bucket liveness of the engine's tile-prefixes; the bucket
+transitions of each bulk request become one signed publication (or a few,
+see `bloom.PUBLICATION_MAX`) for the global filter server.
 
 Tile queries are authorized per interest (a bad signature is dropped without
 a response), filtered by tenant and client id, and answered as signed
@@ -22,10 +23,10 @@ import logging
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from . import bloom, names, trust
-from .errors import StorageError
+from .errors import OgbError, StorageError
 from .geodata import OgbData, OgbTile, canonical_json
 from .icn.core import ContentObject, Interest, build_segments
 from .names import (
@@ -155,8 +156,9 @@ class Engine:
                                              engine_id=config.engine_id)
         self.processed_queries = 0
         self.rejected_interests = 0
-        self.publish_sink: Optional[Callable[[bloom.BfPublication], None]] = None
-        self.bf_log: dict[int, ContentObject] = {}
+        # Called with segment 0 of each new publication.
+        self.publish_sink: Optional[Callable[[ContentObject], None]] = None
+        self.bf_log: dict[int, list[ContentObject]] = {}   # by first seq
 
         self._served = [Name.from_text(p).components for p in config.served_prefixes]
         self._tile_cache = LruCache(128)
@@ -264,32 +266,33 @@ class Engine:
         return statuses
 
     def _emit(self, pubs: list[bloom.BfPublication]) -> None:
-        for pub in pubs:
-            content = self.make_publication_content(pub)
-            self.bf_log[pub.seq] = content
+        for chunk in bloom.publication_chunks(pubs):
+            contents = self.make_publication_content(chunk)
+            self.bf_log[chunk[0].seq] = contents
             if self.publish_sink is not None:
-                self.publish_sink(pub)
+                self.publish_sink(contents[0])
 
     # -- bloom publications ------------------------------------------------
 
-    def make_publication_content(self, pub: bloom.BfPublication) -> ContentObject:
-        base = bloom.publication_name(pub.engine_id, pub.seq)
-        payload = canonical_json(pub.to_dict())
-        return build_segments(base, payload, freshness_ms=3600 * 1000.0,
-                              sign=self._sign)[0]
+    def make_publication_content(self, pubs: Sequence[bloom.BfPublication],
+                                 ) -> list[ContentObject]:
+        """The signed segments of one publication of consecutive transitions."""
+        base = bloom.publication_name(self.config.engine_id, pubs[0].seq)
+        return build_segments(base, bloom.encode_publication(pubs),
+                              freshness_ms=3600 * 1000.0, sign=self._sign)
 
     def handle_bf_interest(self, interest: Interest):
-        """Serve a published transition by sequence number, or hold the PIT
+        """Serve a publication by its first sequence number, or hold the PIT
         for one not yet published."""
-        comps = Name.from_text(interest.name).components
         try:
-            seq = int(comps[-2])
-        except (ValueError, IndexError):
+            base, seg_index = names.split_segment(Name.from_text(interest.name))
+            seq = int(base.components[-1])
+        except (OgbError, ValueError):
             return None
-        content = self.bf_log.get(seq)
-        if content is None:
+        contents = self.bf_log.get(seq)
+        if contents is None or seg_index is None or seg_index >= len(contents):
             return None
-        return content, 0.0
+        return contents[seg_index], 0.0
 
     def digest_payload(self) -> bytes:
         return bloom.encode_digest(self.cbf.seq, self.cbf.bitmap())

@@ -67,11 +67,6 @@ class Credentials:
         return trust.sign_envelope(self.keypair, self.certificate,
                                    name_text, payload)
 
-    @classmethod
-    def of(cls, tid: str, uid: str, keypair: trust.KeyPair,
-           certificate: trust.Certificate) -> "Credentials":
-        return cls(tid, uid, keypair, certificate)
-
 
 @dataclass
 class RangeQuery:

@@ -10,7 +10,7 @@ index so a consumer can pipeline the rest after segment 0.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from ..errors import ConfigError
@@ -71,10 +71,6 @@ class FetchResult:
     payload: bytes
     segments: list[ContentObject]
 
-    @property
-    def from_cache(self) -> bool:
-        return False
-
 
 def build_segments(base, payload: bytes, freshness_ms: float = 0.0,
                    sign=None) -> list[ContentObject]:
@@ -124,6 +120,7 @@ class Fib:
 class PitEntry:
     faces: list
     expiry: Optional[float]
+    upstream: set = field(default_factory=set)    # hops it was forwarded to
 
 
 class Pit:
@@ -149,9 +146,18 @@ class Pit:
             return True
         return False
 
-    def consume(self, name: str) -> list:
-        entry = self._entries.pop(name, None)
-        return entry.faces if entry else []
+    def forwarded(self, name: str, hop) -> None:
+        self._entries[name].upstream.add(hop)
+
+    def consume(self, name: str, upstream=None) -> list:
+        """Remove the entry and return its faces.  Given the hop a content
+        came from, only when the interest was forwarded there: content from
+        any other hop is unsolicited, so it neither satisfies nor is cached."""
+        entry = self._entries.get(name)
+        if entry is None or (upstream is not None and upstream not in entry.upstream):
+            return []
+        del self._entries[name]
+        return entry.faces
 
     def pending(self, name: str) -> bool:
         return name in self._entries

@@ -214,6 +214,7 @@ class SimNode:
                     self.loop.schedule(0, f[1], None)
             return
         self.counters["forwarded"] += 1
+        self.pit.forwarded(interest.name, hop)
         link = self.links[hop]
         peer = self.network.nodes[hop]
         link.transmit(interest.wire_size, peer.receive_interest, interest,
@@ -221,7 +222,7 @@ class SimNode:
 
     def receive_content(self, content: ContentObject, face) -> None:
         self.counters["contentsIn"] += 1
-        faces = self.pit.consume(content.name)
+        faces = self.pit.consume(content.name, upstream=face[1])
         if not faces:
             self.counters["unsolicited"] += 1
             return

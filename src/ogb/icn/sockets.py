@@ -99,13 +99,15 @@ class ContentServer:
     def address(self) -> tuple[str, int]:
         return (self.host, self.port)
 
-    def publish(self, content: ContentObject) -> None:
-        """Satisfy any interests held open for this exact name."""
+    def publish(self, content: ContentObject) -> int:
+        """Satisfy any interests held open for this exact name; returns how
+        many connections were waiting."""
         with self._state:
             waiting = self._pending.pop(content.name, set())
         message = wire.content_message(content)
         for conn in waiting:
             conn.send(message)
+        return len(waiting)
 
     def _accept_loop(self) -> None:
         while not self._closing:

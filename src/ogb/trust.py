@@ -327,8 +327,10 @@ class TrustStore:
 
     def verify(self, name_text: str, payload: bytes, envelope: Optional[TrustEnvelope],
                rule: Optional[str] = None, fields: Optional[dict] = None,
+               identity: Optional[str] = None,
                ) -> tuple[bool, Optional[str]]:
-        """Full check: certificate available, chain valid, rule satisfied,
+        """Full check: certificate available, chain valid, rule satisfied
+        (and, given `identity`, the signer is exactly that identity),
         signature intact.  Returns (ok, reason)."""
         if envelope is None:
             return False, REASON_INTEGRITY
@@ -339,6 +341,8 @@ class TrustStore:
         if not ok:
             return False, reason
         if rule is not None and not identity_matches(rule, cert.identity, fields or {}):
+            return False, REASON_IDENTITY_RULE
+        if identity is not None and cert.identity != identity:
             return False, REASON_IDENTITY_RULE
         if not self._signature_ok(cert.public_key, envelope.signature,
                                   signed_message(name_text, payload)):
@@ -373,6 +377,13 @@ class TrustStore:
                              ) -> tuple[bool, Optional[str]]:
         return self.verify(name_text, payload, envelope,
                            rule=self.rules.tile_interest_signer, fields={"tid": tid})
+
+    def verify_engine_content(self, name_text: str, payload: bytes,
+                              envelope: Optional[TrustEnvelope], engine_id: str,
+                              ) -> tuple[bool, Optional[str]]:
+        """Content the engine `engine_id` itself must have signed."""
+        return self.verify(name_text, payload, envelope,
+                           identity=engine_identity(engine_id))
 
     def verify_data_content(self, name_text: str, payload: bytes,
                             envelope: Optional[TrustEnvelope], tid: str, uid: str,

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from ogb import trust
+from ogb import bloom, trust
+from ogb.icn.core import ContentObject
 
 
 def starbucks_dict():
@@ -20,6 +21,36 @@ def starbucks_dict():
             "amenity": "Coffee Shop",
         },
     }
+
+
+def bad_publications(engine, forger, prefixes):
+    """Publications for the engine's next seq that the Bloom server must
+    refuse, each of them DOWN for every bucket of `prefixes`: one signed by
+    `forger` (a valid certificate, not the engine's); the engine's own
+    signature over UP transitions with the payload switched to DOWN; and one
+    the engine signed whose payload names the wrong seq."""
+    engine_id, seq = engine.config.engine_id, engine.cbf.seq
+    buckets = sorted({b for p in prefixes
+                      for b in bloom.bucket_indexes(p, engine.cbf.m, engine.cbf.h)})
+    name = bloom.publication_name(engine_id, seq) + "/seg=0"
+
+    def payload(direction, first=seq):
+        return bloom.encode_publication([
+            bloom.BfPublication(engine_id, bucket, direction, first + i)
+            for i, bucket in enumerate(buckets)])
+
+    def content(body, signer, signed_body):
+        kp, cert = signer
+        return ContentObject(name, body, 3600e3,
+                             trust.sign_envelope(kp, cert, name, signed_body), 0)
+
+    own = (engine.keypair, engine.certificate)
+    wrong_seq = payload(bloom.DOWN, seq + 1)
+    return [
+        content(payload(bloom.DOWN), forger, payload(bloom.DOWN)),
+        content(payload(bloom.DOWN), own, payload(bloom.UP)),
+        content(wrong_seq, own, wrong_seq),
+    ]
 
 
 @pytest.fixture

@@ -251,6 +251,41 @@ def test_usage_errors_exit_2(capsys, config_path):
         assert json.loads(err)["error"] == "usage"
 
 
+def _config_with(**changes):
+    data = {"mode": "sim", "seed": 7, "certRepo": {},
+            "engines": [{"id": "rome", "servedPrefixes": ["ndn:/OGB"]}],
+            "bfServer": {"m": 4096, "h": 5}}
+    for path, value in changes.items():
+        section, _, key = path.rpartition("__")
+        (data.setdefault(section, {}) if section else data)[key] = value
+    return data
+
+
+@pytest.mark.parametrize("config", [
+    ["not", "an", "object"],
+    _config_with(engines=["rome"]),
+    _config_with(engines=[{"id": "rome"}]),
+    _config_with(bfServer__m="big"),
+    _config_with(bfServer__m=0),
+    _config_with(bfServer__h=-1),
+    _config_with(bfServer__m=True),
+    _config_with(seed="x"),
+    _config_with(topology__handlerLinkMbps=-1),
+    _config_with(topology__handlerLinkMbps="fast"),
+    _config_with(certRepo__address={"port": "x"}),
+], ids=["array", "engine-string", "engine-without-prefixes", "m-string",
+        "m-zero", "h-negative", "m-bool", "seed-string", "bandwidth-negative",
+        "bandwidth-string", "port-string"])
+def test_bad_config_is_one_json_config_error(capsys, tmp_path, config):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code, out, err = run(capsys, "--config", path, "bf-stats")
+    assert code == 1 and out == ""
+    assert "Traceback" not in err
+    body = json.loads(err)
+    assert body["error"] == "config-error"
+
+
 def test_missing_subcommand_arguments_exit_2(capsys, config_path):
     code, _, err = run(capsys, "--config", config_path, "query")
     assert code == 2

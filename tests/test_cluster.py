@@ -6,14 +6,16 @@ import json
 import pytest
 
 from ogb import trust
-from ogb.cluster import BF_QUERY_ROOT, ClusterConfig, KeyStore, SimCluster
+from ogb.cluster import (BF_QUERY_ROOT, SWITCH_ID, ClusterConfig, KeyStore,
+                         SimCluster)
 from ogb.engine import bulk_channel
 from ogb.errors import ConfigError
+from ogb.frontend import Credentials, QueryHandler, RangeQuery
 from ogb.geodata import OgbTile, canonical_json, make_ogb_data_set, parse_feature
-from ogb.grid import TileId
+from ogb.grid import BoundingBox, TileId
 from ogb.names import TileName, tile_prefix
 
-from conftest import starbucks_dict
+from conftest import bad_publications, starbucks_dict
 
 _nonce = itertools.count(1)
 
@@ -192,6 +194,58 @@ def test_bloom_server_follows_inserts_and_deletes():
     assert [s["status"] for s in reply["statuses"]] == ["accepted"] * 3
     cluster.network.loop.run_until_idle()
     assert cluster.bloom_server.membership(prefixes) == [False] * 3
+
+
+def test_forged_publications_are_rejected_and_the_feed_recovers():
+    cluster = build()
+    alice = cluster.issue_user("Foo", "Alice")
+    items = insert_feature(cluster, "east", starbucks_dict(), alice)
+    cluster.network.loop.run_until_idle()
+    east, server = cluster.engines["east"], cluster.bloom_server
+    prefixes = [tile_prefix(it.name.tile).text for it in items]
+    forger = cluster.issue_user("Foo", "Mallory")
+    reloads = []
+    recover = cluster.bf_feed.recover
+    cluster.bf_feed.recover = lambda eid: reloads.append(eid) or recover(eid)
+
+    # Sent toward the engine's forwarder, a forgery is unsolicited there: it
+    # is not cached, so it cannot answer the server's next subscription.
+    engine_node = cluster.engine_nodes["east"]
+    forged = bad_publications(east, forger, prefixes)[0]
+    engine_node.receive_content(forged, ("node", SWITCH_ID))
+    assert engine_node.counters["unsolicited"] == 1
+    assert engine_node.cs.get(forged.name, cluster.network.loop.now) is None
+    cluster.network.loop.run_until_idle()
+    assert server.stats()["rejected"] == 0
+
+    switch = cluster.network.nodes[SWITCH_ID]
+    for count, bad in enumerate(bad_publications(east, forger, prefixes), 1):
+        # On the path from the engine to the server, as an attacker would.
+        switch.receive_content(bad, ("node", "east"))
+        cluster.network.loop.run_until_idle()
+        assert server.stats()["rejected"] == count
+        assert reloads == ["east"] * count           # its digest, reloaded
+        assert server.membership(prefixes) == [True] * 3
+        assert server.last_seq["east"] == east.cbf.seq - 1
+
+    store = trust.TrustStore(cluster.anchor, fetcher=cluster.cert_repo.get_wire)
+    handler = QueryHandler(cluster.substrate, store,
+                           Credentials("Foo", "Alice", *alice))
+    report = handler.range_query(RangeQuery(
+        bbox=BoundingBox.of(12.50, 41.88, 12.53, 41.90), mode="intersect",
+        tid="Foo", cid="ShopApp", use_bf=True))
+    assert [f.oid for f in report.features] == ["1234"]
+
+    # The subscription survived: a genuine insert is still applied.
+    later = starbucks_dict()
+    later["geometry"]["coordinates"] = [12.9, 41.2]
+    later["properties"]["oid"] = 99
+    more = insert_feature(cluster, "east", later, alice)
+    cluster.network.loop.run_until_idle()
+    assert server.membership([tile_prefix(it.name.tile).text
+                              for it in more]) == [True] * 3
+    assert server.last_seq["east"] == east.cbf.seq - 1
+    assert server.stats()["rejected"] == 3
 
 
 def test_certificates_resolve_over_the_network():

@@ -18,8 +18,8 @@ from ogb.engine import (
 from ogb.errors import StorageError
 from ogb.geodata import INLINE, REFERENCE, OgbData, OgbTile, make_ogb_data_set, parse_feature
 from ogb.grid import TileId
-from ogb.icn.core import Interest
-from ogb.names import IpResName, TileName, segment_name
+from ogb.icn.core import SEGMENT_SIZE, Interest
+from ogb.names import IpResName, TileName, segment_name, tile_prefix
 
 from conftest import starbucks_dict
 
@@ -139,22 +139,27 @@ def test_upsert_keeps_liveness_counters_stable(keyring, starbucks):
 
 
 def test_bulk_delete_and_bucket_transitions(keyring, starbucks):
-    pubs = []
+    published = []
     eng = make_engine(keyring)
-    eng.publish_sink = pubs.append
+    eng.publish_sink = published.append
     items = signed_items(starbucks, keyring)
     eng.bulk_insert(items)
-    ups = [p for p in pubs if p.direction == bloom.UP]
-    assert ups and all(p.engine_id == "e1" for p in ups)
+    assert len(published) == 1                    # one per bulk request
+    ups = bloom.decode_publication(published[0].payload)
+    assert ups and all(p.engine_id == "e1" and p.direction == bloom.UP
+                       for p in ups)
 
     alice = trust.user_identity("Foo", "Alice")
     texts = [it.name.name.text for it in items]
     statuses = eng.bulk_delete(texts, alice)
     assert [s.status for s in statuses] == [ACCEPTED] * 3
     assert eng.item_count == 0
-    downs = [p for p in pubs if p.direction == bloom.DOWN]
+    assert len(published) == 2
+    downs = bloom.decode_publication(published[1].payload)
+    assert all(p.engine_id == "e1" and p.direction == bloom.DOWN for p in downs)
     assert sorted(p.bucket_index for p in downs) == sorted(p.bucket_index for p in ups)
-    assert [p.seq for p in pubs] == list(range(len(pubs)))
+    # Every transition exactly once, in seq order, across the publications.
+    assert [p.seq for p in ups + downs] == list(range(eng.cbf.seq))
 
     statuses = eng.bulk_delete(texts, alice)
     assert all(s.status == NOT_FOUND for s in statuses)
@@ -382,21 +387,77 @@ def test_crash_between_snapshot_replace_and_log_truncate(keyring, starbucks,
 
 def test_bf_publication_log_serves_by_seq(keyring, starbucks):
     eng = make_engine(keyring)
-    pubs = []
-    eng.publish_sink = pubs.append
+    published = []
+    eng.publish_sink = published.append
     eng.bulk_insert(signed_items(starbucks, keyring))
-    assert pubs
+    assert len(published) == 1
+    chunk = bloom.decode_publication(published[0].payload)
+    assert [p.seq for p in chunk] == list(range(eng.cbf.seq))
 
-    name = bloom.publication_name("e1", pubs[0].seq) + "/seg=0"
+    name = bloom.publication_name("e1", chunk[0].seq) + "/seg=0"
     content, delay = eng.handle_bf_interest(Interest(name))
     assert delay == 0.0
-    assert bloom.BfPublication.from_dict(json.loads(content.payload)) == pubs[0]
-    ok, reason = keyring.store().verify(content.name, content.payload,
-                                        content.envelope)
+    assert content == published[0]
+    assert bloom.decode_publication(content.payload) == chunk
+    ok, reason = keyring.store().verify_engine_content(
+        content.name, content.payload, content.envelope, "e1")
     assert ok, reason
 
     unborn = bloom.publication_name("e1", 9999) + "/seg=0"
     assert eng.handle_bf_interest(Interest(unborn)) is None
+    inside = bloom.publication_name("e1", chunk[1].seq) + "/seg=0"
+    assert eng.handle_bf_interest(Interest(inside)) is None
+
+
+def inline_items_setting_new_buckets(keyring, count, seen, start):
+    """Signed inline items whose tile prefixes set exactly `count` buckets
+    of a one-hash filter at the default size that are not in `seen`."""
+    items = []
+    cell = start
+    while len(items) < count:
+        coords = [12.005 + (cell % 100) / 100, 41.005 + (cell // 100) / 100]
+        item = signed_items(shop(cell, coords), keyring)[-1]
+        bucket, = bloom.bucket_indexes(tile_prefix(item.name.tile).text,
+                                       bloom.DEFAULT_M, 1)
+        cell += 1
+        if bucket not in seen:
+            seen.add(bucket)
+            items.append(item)
+    return items, cell
+
+
+def test_one_signed_publication_per_publication_max_transitions(keyring, monkeypatch):
+    eng = make_engine(keyring, bf_h=1)
+    published = []
+    eng.publish_sink = published.append
+    signs = []
+    sign = eng.keypair.sign
+    monkeypatch.setattr(eng.keypair, "sign",
+                        lambda data: signs.append(data) or sign(data))
+    seen, cell = set(), 0
+    for nonce, count, expected in ((1, bloom.PUBLICATION_MAX, 1),
+                                   (2, bloom.PUBLICATION_MAX + 1, 2)):
+        items, cell = inline_items_setting_new_buckets(keyring, count, seen, cell)
+        first_seq = eng.cbf.seq
+        published.clear()
+        signs.clear()
+        reply, _ = eng.handle_service_interest(service_interest(
+            "e1", nonce, {"op": "insert", "items": [i.to_dict() for i in items]}))
+        assert eng.cbf.seq - first_seq == count
+        assert len(published) == expected
+        assert all(c.final_segment == 0 for c in published)     # one segment each
+        transitions = [p for c in published
+                       for p in bloom.decode_publication(c.payload)]
+        assert [p.seq for p in transitions] == list(range(first_seq, eng.cbf.seq))
+        # The engine signs each publication and each reply segment, no more.
+        assert len(signs) == expected + reply.final_segment + 1
+
+
+def test_a_full_publication_fits_one_segment():
+    worst = [bloom.BfPublication("e1", bloom.DEFAULT_M - 1, bloom.DOWN, 10**12 + i)
+             for i in range(bloom.PUBLICATION_MAX)]
+    assert len(bloom.encode_publication(worst)) <= SEGMENT_SIZE
+    assert bloom.decode_publication(bloom.encode_publication(worst)) == worst
 
 
 def service_interest(eng_id, nonce, request, envelope_from=None):

@@ -10,14 +10,15 @@ from ogb.cluster import (ClusterConfig, SimCluster, SocketCluster,
                          network_cert_fetcher)
 from ogb.errors import NoRouteError, ProtocolError
 from ogb.frontend import Credentials, InsertHandler, QueryHandler, RangeQuery
-from ogb.geodata import canonical_json
+from ogb.geodata import canonical_json, make_ogb_data_set, parse_feature
 from ogb.grid import BoundingBox
 from ogb.icn import wire
 from ogb.icn.core import ContentObject, Interest, build_segments
 from ogb.icn.sockets import ContentServer, SocketSubstrate
+from ogb.names import tile_prefix
 from ogb.trust import TrustEnvelope
 
-from conftest import starbucks_dict
+from conftest import bad_publications, starbucks_dict
 
 
 class _FakeSock:
@@ -243,3 +244,49 @@ def test_socket_and_sim_modes_agree_on_result_sets():
     sim_results = run_queries(qh)
 
     assert socket_results == sim_results
+
+
+def feature_prefixes(feature):
+    return [tile_prefix(item.name.tile).text
+            for item in make_ogb_data_set(parse_feature(feature), 60000)]
+
+
+def test_socket_bloom_server_rejects_forged_publications():
+    ports = free_ports(4)
+    cluster = SocketCluster(ClusterConfig.from_dict(cluster_dict("socket", ports)))
+    cluster.start()
+    try:
+        kp, cert = cluster.issue_user("Foo", "Alice")
+        creds = Credentials("Foo", "Alice", kp, cert)
+        substrate = cluster.substrate()
+        qh, ih = handlers_for(substrate, cluster.anchor,
+                              network_cert_fetcher(substrate), creds)
+        assert ih.insert(WORLD[0]).all_accepted
+        await_bf_sync(cluster)
+        east, server = cluster.engines["east"], cluster.bloom_server
+        prefixes = feature_prefixes(WORLD[0])
+        assert server.membership(prefixes) == [True] * 3
+
+        forger = cluster.issue_user("Foo", "Mallory")
+        for count, bad in enumerate(bad_publications(east, forger, prefixes), 1):
+            # Pushed down the server's held subscription, as by an attacker,
+            # once the server has re-expressed it after the last rejection.
+            limit = time.monotonic() + 5.0
+            while (not cluster.servers["east"].publish(bad)
+                   and time.monotonic() < limit):
+                time.sleep(0.01)
+            while server.rejected < count and time.monotonic() < limit:
+                time.sleep(0.01)
+            assert server.stats()["rejected"] == count
+            assert server.membership(prefixes) == [True] * 3
+
+        assert len(run_queries(qh, use_bf=True)[0]) == 1     # still visible
+        # The subscription survived: a genuine insert is still applied.
+        assert ih.insert(WORLD[2]).all_accepted
+        await_bf_sync(cluster)
+        later = feature_prefixes(WORLD[2])
+        assert server.membership(later) == [True] * len(later)
+        assert server.stats()["rejected"] == 3
+        substrate.close()
+    finally:
+        cluster.stop()
