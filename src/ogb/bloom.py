@@ -92,19 +92,6 @@ class BfPublication:
     direction: str                    # UP on 0->1, DOWN on ->0
     seq: int
 
-    def to_dict(self) -> dict:
-        return {
-            "engineId": self.engine_id,
-            "bucketIndex": self.bucket_index,
-            "direction": self.direction,
-            "seq": self.seq,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BfPublication":
-        return cls(data["engineId"], data["bucketIndex"], data["direction"],
-                   data["seq"])
-
 
 class BloomFilter:
     """Plain m-bit filter; add-only when loaded directly with keys."""

@@ -25,7 +25,7 @@ from pathlib import Path
 from . import gtfs, tessellation, trust
 from .cluster import (BF_QUERY_ROOT, ClusterConfig, KeyStore, SimCluster,
                       SocketCluster, network_cert_fetcher)
-from .errors import ConfigError, OgbError, PartialResultError
+from .errors import ConfigError, FeatureError, OgbError, PartialResultError
 from .frontend import (DEFAULT_FRESHNESS_MS, DEFAULT_K, DEFAULT_WINDOW,
                        Credentials, InsertHandler, QueryHandler, RangeQuery)
 from .geodata import canonical_json
@@ -150,15 +150,23 @@ def _load_features(args) -> tuple[list[dict], dict]:
         data = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise _UsageError("%s is not valid JSON: %s" % (path, exc)) from None
-    if data.get("type") == "Feature":
+    kind = data.get("type") if isinstance(data, dict) else None
+    if kind == "Feature":
         features = [data]
-    elif data.get("type") == "FeatureCollection":
-        features = list(data.get("features", []))
+    elif kind == "FeatureCollection":
+        features = data.get("features", [])
+        if not isinstance(features, list):
+            raise FeatureError("%s: \"features\" is not a JSON array" % path)
     else:
         raise _UsageError("%s is neither a Feature nor a FeatureCollection"
                           % path)
-    for feature in features:
+    for index, feature in enumerate(features):
+        if not isinstance(feature, dict):
+            raise FeatureError("%s: feature %d is not a JSON object" % (path, index))
         props = feature.setdefault("properties", {})
+        if not isinstance(props, dict):
+            raise FeatureError("%s: feature %d has no properties object"
+                               % (path, index))
         props.setdefault("tid", args.tid)
         props.setdefault("uid", args.uid)
         if args.cid:

@@ -1,25 +1,47 @@
 """The database engine: durable object store, per-level tile indexes, and
 the interest handlers for tile queries, data fetches, and IP resolution.
 
-Storage is an in-memory CO-table (full data name to wire bytes) plus one
-tile-table per grid level mapping tile-prefix to the names stored under it.
-Durability comes from an append log replayed over the latest snapshot, so a
-restarted engine answers queries byte-identically.  A counting Bloom filter
-tracks per-bucket liveness of the engine's tile-prefixes; the bucket
-transitions of each bulk request become one signed publication (or a few,
-see `bloom.PUBLICATION_MAX`) for the global filter server.
+Storage is an in-memory CO-table (full data name to the item's signed wire
+bytes, as the owner's client encoded them) plus one tile-table per grid
+level, mapping tile-prefix to the names stored under it grouped by (tid,
+cid).  A tile query reads only the asked tenant's group and splices the
+stored bytes into its listing, so the engine never decodes an item on the
+query path; a data fetch serves the stored bytes at the item's freshness.
+
+Durability is a write-ahead log of framed records: a length, a log sequence
+number and two CRC32s (of the header and of the body), then the body.  One
+record holds one bulk request's accepted items (their wire bytes, each with
+the offset of its name inside them) or its deleted names.  A snapshot is one
+record of the same framing holding every item; its sequence number is the
+last log record it folded, and replay skips any log record at or below it,
+so a crash between writing the snapshot and emptying the log loses and
+repeats nothing.  A torn last record is cut on restart; a corrupt complete
+record raises `StorageError`, and so does a store in the old line-per-item
+format (`log.jsonl`, `snapshot.json`), which this engine does not read.
+Restart indexes the stored bytes without decoding them, so a restarted
+engine answers queries byte-identically.
+
+A counting Bloom filter tracks per-bucket liveness of the engine's
+tile-prefixes; the bucket transitions of each bulk request become one signed
+publication (or a few, see `bloom.PUBLICATION_MAX`) for the global filter
+server.
 
 Tile queries are authorized per interest (a bad signature is dropped without
-a response), filtered by tenant and client id, and answered as signed
-segments.  In simulated mode each fresh tile computation reports a
-processing delay of c1 + c2 * items, the engine-side share of the query
-cost model.
+a response) and answered as signed segments.  A data name the engine serves
+but does not hold (a Reference named by a listing cached before a remove)
+gets a signed "gone" reply that no content store keeps.  In simulated mode
+each fresh tile computation reports a processing delay of c1 + c2 * items,
+the engine-side share of the query cost model.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import logging
+import struct
+import time
+import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,7 +49,7 @@ from typing import Callable, Optional, Sequence
 
 from . import bloom, names, trust
 from .errors import OgbError, StorageError
-from .geodata import OgbData, OgbTile, canonical_json
+from .geodata import OgbData, WireTile, canonical_json, gone_wire
 from .icn.core import ContentObject, Interest, build_segments
 from .names import (
     DataName,
@@ -51,6 +73,102 @@ BULK_ROOT = names.SCHEME + names.SYSTEM_ROOT + "/bulk"
 
 def bulk_channel(engine_id: str) -> str:
     return "%s/%s" % (BULK_ROOT, engine_id)
+
+
+# -- framed records ------------------------------------------------------------
+
+LOG_FILE = "wal.log"
+SNAPSHOT_FILE = "snapshot.wal"
+OLD_FORMAT_FILES = ("log.jsonl", "snapshot.json")
+
+# A record's head: body length, log sequence number, CRC32 of the body.
+# The CRC32 of the head follows it, so a damaged length is not taken for a
+# torn tail.
+_HEAD = struct.Struct("<IQI")
+_CRC = struct.Struct("<I")
+_HEADER_SIZE = _HEAD.size + _CRC.size
+# Per item of an insert record: wire length, offset of the name in the wire.
+_ITEM = struct.Struct("<II")
+_INSERT = b"I"
+_DELETE = b"D"
+_NAME_KEY = b',"name":"'
+_MARKER = "/" + names.GRID_MARKER
+_ROW_SPLIT = "%s/%s/" % (_MARKER, names.DATA_MARKER)
+
+
+def _frame(seq: int, body: bytes) -> bytes:
+    head = _HEAD.pack(len(body), seq, zlib.crc32(body))
+    return head + _CRC.pack(zlib.crc32(head)) + body
+
+
+def read_frames(data: bytes, path) -> tuple[list[tuple[int, memoryview]], int]:
+    """The complete records of `data` as (seq, body), and where they end.
+
+    Bytes past that end are a torn last record: its header or its body was
+    cut short.  A complete record whose CRC fails raises StorageError.
+    Bodies are views into `data`, not copies.
+    """
+    records = []
+    data = memoryview(data)
+    pos, size = 0, len(data)
+    while size - pos >= _HEADER_SIZE:
+        head = data[pos:pos + _HEAD.size]
+        length, seq, body_crc = _HEAD.unpack(head)
+        if zlib.crc32(head) != _CRC.unpack_from(data, pos + _HEAD.size)[0]:
+            raise StorageError("%s: corrupt record header at byte %d" % (path, pos))
+        start = pos + _HEADER_SIZE
+        if start + length > size:
+            break
+        body = data[start:start + length]
+        if zlib.crc32(body) != body_crc:
+            raise StorageError("%s: corrupt record %d at byte %d" % (path, seq, pos))
+        records.append((seq, body))
+        pos = start + length
+    return records, pos
+
+
+def _name_offset(wire: bytes, name_text: str) -> int:
+    """Where an item's own name starts in its canonical wire bytes: after
+    the last `,"name":"<name>"`, since the keys are sorted (body, bodyType,
+    freshnessMs, name, signature) and the signature holds no name key."""
+    return wire.rindex(_NAME_KEY + name_text.encode("ascii") + b'"') + len(_NAME_KEY)
+
+
+def _freshness_of(wire: bytes, name_text: str) -> int:
+    """An item's freshnessMs, read off its wire bytes: the number just
+    before its name."""
+    end = _name_offset(wire, name_text) - len(_NAME_KEY)
+    return int(wire[wire.rindex(b":", 0, end) + 1:end])
+
+
+def _insert_body(entries) -> bytes:
+    """An insert record: each (name, wire) as its wire bytes plus the offset
+    of the name inside them, so the name is not stored twice."""
+    parts = [_INSERT]
+    for name_text, wire in entries:
+        parts += (_ITEM.pack(len(wire), _name_offset(wire, name_text)), wire)
+    return b"".join(parts)
+
+
+def _insert_entries(body: memoryview):
+    """(name, wire) of each item of an insert record, without decoding the
+    wire: the name runs from its offset to the next quote."""
+    pos, size = 1, len(body)
+    while pos < size:
+        length, offset = _ITEM.unpack_from(body, pos)
+        pos += _ITEM.size
+        wire = bytes(body[pos:pos + length])
+        pos += length
+        yield wire[offset:wire.index(b'"', offset)].decode("ascii"), wire
+
+
+def _row_of(name_text: str) -> tuple[str, int, str]:
+    """Tile-prefix, level and "tid/cid" of a data name, by its text."""
+    cut = name_text.index(_ROW_SPLIT)
+    start = cut + len(_ROW_SPLIT)
+    end = name_text.index("/", name_text.index("/", start) + 1)
+    return (name_text[:cut + len(_MARKER)], name_text.count("/", 0, cut) - 3,
+            name_text[start:end])
 
 
 @dataclass
@@ -150,7 +268,8 @@ class Engine:
         self.storage_dir = Path(storage_dir) if storage_dir else None
 
         self.co_table: dict[str, bytes] = {}
-        self.tile_tables: list[dict[str, set[str]]] = [{} for _ in range(3)]
+        # Per level: tile-prefix -> "tid/cid" -> sorted names.
+        self.tile_tables: list[dict[str, dict[str, list[str]]]] = [{} for _ in range(3)]
         self.table_access = [0, 0, 0]
         self.cbf = bloom.CountingBloomFilter(config.bf_m, config.bf_h,
                                              engine_id=config.engine_id)
@@ -163,9 +282,14 @@ class Engine:
         self._served = [Name.from_text(p).components for p in config.served_prefixes]
         self._tile_cache = LruCache(128)
         self._service_cache = LruCache(32)
+        self._log_seq = 0            # last log record written or folded
+        self.log_records = 0         # replayed at the last start
+        self.load_ms = 0.0
         if self.storage_dir is not None:
             self.storage_dir.mkdir(parents=True, exist_ok=True)
+            t0 = time.perf_counter()
             self._load()
+            self.load_ms = (time.perf_counter() - t0) * 1000.0
 
     # -- partitioning ------------------------------------------------------
 
@@ -182,44 +306,33 @@ class Engine:
     def _sign(self, name_text: str, payload: bytes) -> trust.TrustEnvelope:
         return trust.sign_envelope(self.keypair, self.certificate, name_text, payload)
 
-    def _prefix_of(self, data_name: DataName) -> tuple[str, int]:
-        tile = data_name.tile
-        return tile_prefix(tile).text, tile.level
-
-    def _apply_insert(self, item: OgbData, record: bool = True,
-                      ) -> list[bloom.BfPublication]:
-        name_text = item.name.name.text
-        prefix, level = self._prefix_of(item.name)
-        pubs: list[bloom.BfPublication] = []
+    def _put(self, name_text: str, wire: bytes) -> list[bloom.BfPublication]:
         if name_text in self.co_table:
             # Upsert: replace content, liveness counters unchanged.
-            self.co_table[name_text] = item.to_wire()
-        else:
-            self.co_table[name_text] = item.to_wire()
-            self.tile_tables[level].setdefault(prefix, set()).add(name_text)
-            pubs = self.cbf.insert(prefix)
-        if record:
-            self._append_log({"op": "insert", "item": item.to_dict()})
-        return pubs
+            self.co_table[name_text] = wire
+            return []
+        self.co_table[name_text] = wire
+        prefix, level, key = _row_of(name_text)
+        bisect.insort(self.tile_tables[level].setdefault(prefix, {}).setdefault(key, []),
+                      name_text)
+        return self.cbf.insert(prefix)
 
-    def _apply_delete(self, name_text: str, record: bool = True,
-                      ) -> list[bloom.BfPublication]:
-        wire = self.co_table.pop(name_text)
-        item = OgbData.from_wire(wire)
-        prefix, level = self._prefix_of(item.name)
-        rows = self.tile_tables[level].get(prefix)
-        if rows is not None:
-            rows.discard(name_text)
+    def _drop(self, name_text: str) -> list[bloom.BfPublication]:
+        del self.co_table[name_text]
+        prefix, level, key = _row_of(name_text)
+        rows = self.tile_tables[level][prefix]
+        group = rows[key]
+        group.remove(name_text)
+        if not group:
+            del rows[key]
             if not rows:
                 del self.tile_tables[level][prefix]
-        pubs = self.cbf.remove(prefix)
-        if record:
-            self._append_log({"op": "delete", "name": name_text})
-        return pubs
+        return self.cbf.remove(prefix)
 
     def bulk_insert(self, items: list[OgbData]) -> list[ItemStatus]:
         statuses = []
         pubs: list[bloom.BfPublication] = []
+        accepted: list[tuple[str, bytes]] = []
         for item in items:
             name_text = item.name.name.text
             if not self.serves(item.name.tile):
@@ -231,8 +344,12 @@ class Engine:
             if not ok:
                 statuses.append(ItemStatus(name_text, REJECTED, reason))
                 continue
-            pubs += self._apply_insert(item)
+            wire = item.to_wire()
+            pubs += self._put(name_text, wire)
+            accepted.append((name_text, wire))
             statuses.append(ItemStatus(name_text, ACCEPTED))
+        if accepted:
+            self._append_log(_insert_body(accepted))
         self._tile_cache.clear()
         self._emit(pubs)
         return statuses
@@ -241,6 +358,7 @@ class Engine:
                     signer_identity: Optional[str]) -> list[ItemStatus]:
         statuses = []
         pubs: list[bloom.BfPublication] = []
+        deleted: list[str] = []
         for name_text in name_texts:
             try:
                 parsed = parse(name_text)
@@ -259,8 +377,11 @@ class Engine:
             if name_text not in self.co_table:
                 statuses.append(ItemStatus(name_text, NOT_FOUND))
                 continue
-            pubs += self._apply_delete(name_text)
+            pubs += self._drop(name_text)
+            deleted.append(name_text)
             statuses.append(ItemStatus(name_text, ACCEPTED))
+        if deleted:
+            self._append_log(_DELETE + "\n".join(deleted).encode("ascii"))
         self._tile_cache.clear()
         self._emit(pubs)
         return statuses
@@ -299,19 +420,16 @@ class Engine:
 
     # -- query path --------------------------------------------------------
 
-    def tile_query(self, tile_name: TileName) -> OgbTile:
-        """All stored items under the tile-prefix with the query's tenant and
-        client id; reads exactly one level's table."""
+    def tile_query(self, tile_name: TileName) -> WireTile:
+        """The stored wire bytes of every item under the tile-prefix with the
+        query's tenant and client id, by name; reads exactly one level's
+        table and only that tenant's rows."""
         tile = tile_name.tile
-        prefix = tile_prefix(tile).text
         self.table_access[tile.level] += 1
-        rows = self.tile_tables[tile.level].get(prefix, ())
-        items = []
-        for name_text in sorted(rows):
-            item = OgbData.from_wire(self.co_table[name_text])
-            if item.name.tid == tile_name.tid and item.name.cid == tile_name.cid:
-                items.append(item)
-        return OgbTile(tile_name, items, int(self.config.tile_freshness_ms))
+        rows = self.tile_tables[tile.level].get(tile_prefix(tile).text)
+        group = rows.get(tile_name.tid + "/" + tile_name.cid, ()) if rows else ()
+        return WireTile(tile_name, [self.co_table[name] for name in group],
+                        int(self.config.tile_freshness_ms))
 
     def _tile_response(self, interest: Interest, tile_name: TileName,
                        seg_index: int):
@@ -339,12 +457,17 @@ class Engine:
         return contents[seg_index], delay
 
     def _data_response(self, data_name: DataName, seg_index: int):
-        wire = self.co_table.get(data_name.name.text)
-        if wire is None:
+        name_text = data_name.name.text
+        wire = self.co_table.get(name_text)
+        if wire is not None:
+            payload, freshness = wire, float(_freshness_of(wire, name_text))
+        elif self.serves(data_name.tile):
+            # Freshness 0: no content store keeps it, so a later insert
+            # of the name is seen at once.
+            payload, freshness = gone_wire(name_text), 0.0
+        else:
             return None
-        item = OgbData.from_wire(wire)
-        contents = build_segments(data_name.name, wire,
-                                  float(item.freshness_ms), self._sign)
+        contents = build_segments(data_name.name, payload, freshness, self._sign)
         if seg_index >= len(contents):
             return None
         return contents[seg_index], 0.0
@@ -438,6 +561,8 @@ class Engine:
             "tableAccess": list(self.table_access),
             "cbfSeq": self.cbf.seq,
             "servedPrefixes": list(self.config.served_prefixes),
+            "loadMs": self.load_ms,
+            "logRecords": self.log_records,
         }
 
     def reset_counters(self) -> None:
@@ -452,55 +577,74 @@ class Engine:
     # -- persistence ---------------------------------------------------------
 
     def _log_path(self) -> Path:
-        return self.storage_dir / "log.jsonl"
+        return self.storage_dir / LOG_FILE
 
     def _snapshot_path(self) -> Path:
-        return self.storage_dir / "snapshot.json"
+        return self.storage_dir / SNAPSHOT_FILE
 
-    def _append_log(self, entry: dict) -> None:
+    def _append_log(self, body: bytes) -> None:
         if self.storage_dir is None:
             return
-        with self._log_path().open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+        self._log_seq += 1
+        with self._log_path().open("ab") as fh:
+            fh.write(_frame(self._log_seq, body))
 
     def snapshot(self) -> None:
-        """Fold the log into a snapshot; the log restarts empty."""
+        """Fold the log into a snapshot that records the last sequence it
+        folded; the log restarts empty."""
         if self.storage_dir is None:
             return
-        items = [json.loads(self.co_table[name].decode("utf-8"))
-                 for name in sorted(self.co_table)]
+        body = _insert_body((name, self.co_table[name]) for name in sorted(self.co_table))
         tmp = self._snapshot_path().with_suffix(".tmp")
-        tmp.write_text(json.dumps({"items": items}), encoding="utf-8")
+        tmp.write_bytes(_frame(self._log_seq, body))
         tmp.replace(self._snapshot_path())
-        self._log_path().write_text("", encoding="utf-8")
+        self._log_path().write_bytes(b"")
+
+    def _replay(self, path: Path, seq: int, body: bytes) -> None:
+        try:
+            if body[:1] == _INSERT:
+                for name_text, wire in _insert_entries(body):
+                    self._put(name_text, wire)
+            elif body[:1] == _DELETE:
+                for name_text in bytes(body[1:]).decode("ascii").split("\n"):
+                    self._drop(name_text)
+            else:
+                raise ValueError("unknown record kind %r" % body[:1])
+        except (ValueError, IndexError, KeyError, struct.error) as exc:
+            raise StorageError("%s: record %d is malformed: %s"
+                               % (path, seq, exc)) from exc
 
     def _load(self) -> None:
+        for old in OLD_FORMAT_FILES:
+            if (self.storage_dir / old).exists():
+                raise StorageError("%s is an engine store in the old line "
+                                   "format, which is no longer read"
+                                   % (self.storage_dir / old))
+        folded = 0
         snapshot = self._snapshot_path()
         if snapshot.exists():
-            data = json.loads(snapshot.read_text(encoding="utf-8"))
-            for item_dict in data.get("items", []):
-                self._apply_insert(OgbData.from_dict(item_dict), record=False)
+            data = snapshot.read_bytes()
+            records, end = read_frames(data, snapshot)
+            if len(records) != 1 or end != len(data):
+                raise StorageError("%s is not one complete record" % snapshot)
+            folded, body = records[0]
+            self._replay(snapshot, folded, body)
+        self._log_seq = folded
         log_path = self._log_path()
         if not log_path.exists():
             return
-        raw = log_path.read_bytes()
-        lines = raw.split(b"\n")
-        if lines[-1]:
-            # A record is committed by its newline; an unterminated last line
-            # is a torn append.  Cut it so the next append starts a new line.
+        data = log_path.read_bytes()
+        records, end = read_frames(data, log_path)
+        if end < len(data):
+            # A torn append: cut it so the next record starts cleanly.
             with log_path.open("r+b") as fh:
-                fh.truncate(len(raw) - len(lines[-1]))
-        for number, line in enumerate(lines[:-1], 1):
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line)
-            except ValueError as exc:
-                raise StorageError("%s line %d is corrupt: %s"
-                                   % (log_path, number, exc)) from exc
-            if entry["op"] == "insert":
-                self._apply_insert(OgbData.from_dict(entry["item"]), record=False)
-            elif entry["op"] == "delete" and entry["name"] in self.co_table:
-                # A missing name was already folded out by a snapshot that
-                # crashed before it could empty the log.
-                self._apply_delete(entry["name"], record=False)
+                fh.truncate(end)
+        for seq, body in records:
+            if seq <= folded:
+                continue                 # folded by the snapshot already
+            if seq != self._log_seq + 1:
+                raise StorageError("%s: record %d follows record %d"
+                                   % (log_path, seq, self._log_seq))
+            self._replay(log_path, seq, body)
+            self._log_seq = seq
+            self.log_records += 1

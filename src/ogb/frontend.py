@@ -36,6 +36,7 @@ from .geodata import (
     OgbTile,
     canonical_json,
     dedupe_features,
+    is_gone,
     make_ogb_data_set,
     parse_feature,
     post_filter,
@@ -264,6 +265,10 @@ class QueryHandler(_SubstrateClient):
             for name, result in zip(missing, results):
                 if isinstance(result, Exception):
                     failed.append(name)
+                    continue
+                if is_gone(result.payload):
+                    # Removed after the listing naming it was cached.
+                    rejected += 1
                     continue
                 item = OgbData.from_wire(result.payload)
                 if item.body_type != INLINE or not self._validate_item(item):

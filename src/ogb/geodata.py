@@ -247,6 +247,32 @@ class OgbTile:
         return cls(parsed, items, int(d["freshnessMs"]))
 
 
+@dataclass
+class WireTile:
+    """A tile-query response held as its items' stored wire bytes;
+    `to_wire` splices them, without decoding, into the bytes that
+    `OgbTile.to_wire` gives for the same items."""
+
+    name: TileName
+    items: list[bytes]
+    freshness_ms: int
+
+    def to_wire(self) -> bytes:
+        return b'{"freshnessMs":%d,"items":[%s],"name":%s}' % (
+            self.freshness_ms, b",".join(self.items),
+            json.dumps(self.name.name.text).encode("ascii"))
+
+
+def gone_wire(name_text: str) -> bytes:
+    """An engine's reply for a data name it serves but does not hold."""
+    return canonical_json({"gone": name_text})
+
+
+def is_gone(payload: bytes) -> bool:
+    """True for a `gone_wire` reply; an item's wire starts with `{"body":`."""
+    return payload.startswith(b'{"gone":')
+
+
 def post_filter(features: Iterable[GeoFeature], bbox: BoundingBox,
                 mode: str) -> list[GeoFeature]:
     """Keep features matching the query mode; input order is preserved.

@@ -188,12 +188,15 @@ def geometry_points(geometry: Mapping) -> tuple[GeoPoint, ...]:
         coords = [coords]
     elif gtype != "MultiPoint":
         raise UnsupportedGeometry("unsupported geometry type %r" % (gtype,))
-    if not coords:
+    if not coords or not isinstance(coords, (list, tuple)):
         raise UnsupportedGeometry("geometry has no positions")
     points = []
     for pos in coords:
-        if not isinstance(pos, (list, tuple)) or len(pos) < 2:
-            raise InvalidCoordinate("position must be [lng, lat], got %r" % (pos,))
+        if (not isinstance(pos, (list, tuple)) or len(pos) < 2
+                or not all(isinstance(c, (int, float)) and not isinstance(c, bool)
+                           for c in pos[:2])):
+            raise InvalidCoordinate("position must be [lng, lat] numbers, got %r"
+                                    % (pos,))
         points.append(GeoPoint(float(pos[0]), float(pos[1])))
     return tuple(points)
 

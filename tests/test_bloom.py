@@ -66,11 +66,6 @@ def test_cbf_underflow_raises():
         cbf.remove("ndn:/OGB/0/0/GPS-ID")
 
 
-def test_publication_roundtrip():
-    pub = BfPublication("e2", 12345, DOWN, 9)
-    assert BfPublication.from_dict(pub.to_dict()) == pub
-
-
 def test_server_or_semantics():
     server = BloomServer(m=1 << 16, h=7, engines=["A", "B"])
     a = CountingBloomFilter(m=1 << 16, h=7, engine_id="A")

@@ -301,3 +301,44 @@ def test_cluster_stop_without_pidfile_fails(capsys, config_path):
     code, _, err = run(capsys, "--config", config_path, "cluster", "stop")
     assert code == 1
     assert json.loads(err)["error"] == "config-error"
+
+
+def _with(**changes):
+    feature = json.loads(json.dumps(STARBUCKS))
+    for path, value in changes.items():
+        *parents, leaf = path.split("__")
+        node = feature
+        for key in parents:
+            node = node[key]
+        node[leaf] = value
+    return feature
+
+
+@pytest.mark.parametrize("feature", [
+    _with(geometry__coordinates=["a", 41.8919]),
+    {"type": "FeatureCollection", "features": [1]},
+    _with(properties=None),
+    {"type": "FeatureCollection", "features": 5},
+    _with(geometry={"type": "MultiPoint", "coordinates": 5}),
+], ids=["coordinate-string", "feature-not-object", "properties-null",
+        "features-not-array", "multipoint-number"])
+def test_bad_feature_file_is_one_json_error(capsys, config_path, tmp_path, feature):
+    path = write_feature(tmp_path, feature)
+    code, out, err = run(capsys, "--config", config_path, "insert", path,
+                         "--tid", "Foo", "--uid", "alice")
+    assert code == 1 and out == ""
+    assert "Traceback" not in err
+    body = json.loads(err)
+    assert set(body) == {"error", "message"}
+
+
+def test_store_in_the_old_format_is_one_json_storage_error(capsys, config_path,
+                                                           tmp_path):
+    old = tmp_path / "storage" / "rome" / "log.jsonl"
+    old.parent.mkdir(parents=True)
+    old.write_text('{"op": "delete", "name": "x"}\n', encoding="utf-8")
+    code, out, err = run(capsys, "--config", config_path, "bf-stats")
+    assert code == 1 and out == ""
+    body = json.loads(err)
+    assert body["error"] == "storage-error"
+    assert str(old) in body["message"]

@@ -286,6 +286,26 @@ def test_restart_recovers_storage_and_filter_state(tmp_path):
     assert second.bloom_server.membership(prefixes) == [False] * 3
 
 
+def test_status_reports_the_last_load(tmp_path):
+    kw = {"keys_dir": tmp_path / "keys", "storage_dir": tmp_path / "storage"}
+    first = build(**kw)
+    assert service_get(first, "east", {"op": "status"})["logRecords"] == 0
+    alice = first.issue_user("Foo", "Alice")
+    insert_feature(first, "east", starbucks_dict(), alice)
+    insert_feature(first, "east", {**starbucks_dict(), "properties": {
+        **starbucks_dict()["properties"], "oid": 99}}, alice)
+
+    second = build(**kw)
+    status = service_get(second, "east", {"op": "status"})
+    assert status["logRecords"] == 2           # one per bulk request
+    assert status["items"] == 6
+    assert isinstance(status["loadMs"], float) and status["loadMs"] > 0.0
+    second.snapshot()
+    third = build(**kw)
+    status = service_get(third, "east", {"op": "status"})
+    assert (status["logRecords"], status["items"]) == (0, 6)
+
+
 def test_keystore_persists_and_rescans(tmp_path):
     store = KeyStore(tmp_path, seed=3)
     store.admin()

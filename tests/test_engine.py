@@ -9,17 +9,28 @@ import pytest
 from ogb import bloom, trust
 from ogb.engine import (
     ACCEPTED,
+    LOG_FILE,
     NOT_FOUND,
     REJECTED,
+    SNAPSHOT_FILE,
     Engine,
     EngineConfig,
     bulk_channel,
+    read_frames,
 )
 from ogb.errors import StorageError
-from ogb.geodata import INLINE, REFERENCE, OgbData, OgbTile, make_ogb_data_set, parse_feature
+from ogb.geodata import (
+    INLINE,
+    REFERENCE,
+    OgbData,
+    OgbTile,
+    is_gone,
+    make_ogb_data_set,
+    parse_feature,
+)
 from ogb.grid import TileId
 from ogb.icn.core import SEGMENT_SIZE, Interest
-from ogb.names import IpResName, TileName, segment_name, tile_prefix
+from ogb.names import DataName, IpResName, TileName, segment_name, tile_prefix
 
 from conftest import starbucks_dict
 
@@ -62,6 +73,11 @@ def shop(oid, coords=None, cid="ShopApp"):
     return d
 
 
+def listing(eng, tile_name):
+    """The engine's tile-query result, decoded."""
+    return OgbTile.from_wire(eng.tile_query(tile_name).to_wire())
+
+
 def test_bulk_insert_and_tile_query(keyring, starbucks):
     eng = make_engine(keyring)
     items = signed_items(starbucks, keyring)
@@ -69,12 +85,12 @@ def test_bulk_insert_and_tile_query(keyring, starbucks):
     assert [s.status for s in statuses] == [ACCEPTED] * 3
     assert eng.item_count == 3
 
-    inline = eng.tile_query(TileName(L2, "Foo", "ShopApp"))
+    inline = listing(eng, TileName(L2, "Foo", "ShopApp"))
     assert [it.body_type for it in inline.items] == [INLINE]
     assert inline.items[0].name.oid == "1234"
 
     for coarse in (L0, L1):
-        refs = eng.tile_query(TileName(coarse, "Foo", "ShopApp"))
+        refs = listing(eng, TileName(coarse, "Foo", "ShopApp"))
         assert [it.body_type for it in refs.items] == [REFERENCE]
         assert refs.items[0].body.name.text == inline.items[0].name.name.text
 
@@ -84,9 +100,9 @@ def test_tile_query_filters_cid(keyring, starbucks):
     eng.bulk_insert(signed_items(starbucks, keyring))
     eng.bulk_insert(signed_items(shop(99, cid="MapApp"), keyring))
 
-    got = eng.tile_query(TileName(L2, "Foo", "ShopApp"))
+    got = listing(eng, TileName(L2, "Foo", "ShopApp"))
     assert [it.name.oid for it in got.items] == ["1234"]
-    got = eng.tile_query(TileName(L2, "Foo", "MapApp"))
+    got = listing(eng, TileName(L2, "Foo", "MapApp"))
     assert [it.name.oid for it in got.items] == ["99"]
 
 
@@ -243,6 +259,37 @@ def test_tile_cache_hit_and_write_invalidation(keyring, starbucks):
     assert after.payload != first.payload
 
 
+def test_spliced_listing_equals_ogbtile_wire(keyring):
+    """Tenants and client ids sharing tiles at every level: each listing is
+    byte-identical to OgbTile.to_wire() of the same items in name order."""
+    owners = [("Foo", "Alice", "ShopApp"), ("Foo", "Bob", "ShopApp"),
+              ("Foo", "Alice", "MapApp"), ("Bar", "Carol", "ShopApp")]
+    for tid, uid, _ in owners:
+        keyring.user(tid, uid)
+    eng = make_engine(keyring)
+    stored = []
+    rng = random.Random(11)
+    for i in range(24):
+        tid, uid, cid = owners[i % 4]
+        d = shop(500 + i // 4, [12.51 + rng.random() * 0.02, 41.89 + rng.random() * 0.005],
+                 cid=cid)
+        d["properties"].update(tid=tid, uid=uid, note="say \"hi\" \u00e9 %d" % i)
+        items = signed_items(d, keyring)
+        assert [s.reason for s in eng.bulk_insert(items)] == [None] * len(items)
+        stored += items
+    assert len({it.name.tile for it in stored}) < len(stored)
+    for tile in {it.name.tile for it in stored}:
+        for tid, cid in (("Foo", "ShopApp"), ("Foo", "MapApp"), ("Bar", "ShopApp"),
+                         ("Bar", "MapApp")):
+            tile_name = TileName(tile, tid, cid)
+            want = sorted((it for it in stored if it.name.tile == tile
+                           and it.name.tid == tid and it.name.cid == cid),
+                          key=lambda it: it.name.name.text)
+            got = eng.tile_query(tile_name)
+            assert got.to_wire() == OgbTile(tile_name, want, 60000).to_wire()
+            assert len(got.items) == len(want)
+
+
 def test_tile_query_touches_one_level_table(keyring, starbucks):
     eng = make_engine(keyring)
     eng.bulk_insert(signed_items(starbucks, keyring))
@@ -254,9 +301,9 @@ def test_tile_query_touches_one_level_table(keyring, starbucks):
     assert eng.table_access == [1, 1, 1]
 
 
-def test_data_fetch_serves_stored_wire(keyring, starbucks):
-    eng = make_engine(keyring)
-    items = signed_items(starbucks, keyring)
+def test_data_fetch_serves_stored_wire(keyring, starbucks, tmp_path):
+    eng = make_engine(keyring, storage_dir=tmp_path / "e1")
+    items = signed_items(starbucks, keyring, freshness_ms=1234)
     eng.bulk_insert(items)
 
     inline = items[2]
@@ -264,11 +311,24 @@ def test_data_fetch_serves_stored_wire(keyring, starbucks):
     content, delay = eng.handle_named_interest(interest)
     assert delay == 0.0
     assert content.payload == inline.to_wire()
+    assert content.freshness_ms == 1234.0
+    reborn, _ = make_engine(keyring, storage_dir=tmp_path / "e1").handle_named_interest(interest)
+    assert (reborn.payload, reborn.freshness_ms) == (content.payload, 1234.0)
     assert OgbData.from_wire(content.payload).signature == inline.signature
     assert eng.processed_queries == 0
 
+    # A name it serves but does not hold: a signed "gone" reply that no
+    # content store keeps.  A name it does not serve: no reply.
     ghost = segment_name(inline.name.name, 0).text.replace("1234", "777")
-    assert eng.handle_named_interest(Interest(ghost)) is None
+    gone, delay = eng.handle_named_interest(Interest(ghost))
+    assert delay == 0.0 and gone.freshness_ms == 0.0
+    assert is_gone(gone.payload)
+    assert json.loads(gone.payload) == {"gone": ghost[:-len("/seg=0")]}
+    ok, reason = keyring.store().verify(gone.name, gone.payload, gone.envelope)
+    assert ok, reason
+    elsewhere = segment_name(DataName(TileId(50, 50), "Foo", "ShopApp", "Alice", "1"
+                                      ).name, 0).text
+    assert eng.handle_named_interest(Interest(elsewhere)) is None
 
 
 def test_ipres_reports_engine_address(keyring):
@@ -293,31 +353,56 @@ def test_restart_replays_log_byte_identically(keyring, starbucks, tmp_path):
     eng.bulk_delete([extra[0].name.name.text], trust.user_identity("Foo", "Alice"))
 
     reborn = make_engine(keyring, storage_dir=tmp_path / "e1")
-    assert reborn.co_table == eng.co_table
-    assert reborn.tile_tables == eng.tile_tables
-    assert reborn.cbf.bitmap() == eng.cbf.bitmap()
+    assert_same_state(reborn, eng)
+    assert reborn.cbf.seq == eng.cbf.seq
+    assert reborn.log_records == 3
 
     old, _ = eng.handle_named_interest(tile_interest(keyring, L2))
     new, _ = reborn.handle_named_interest(tile_interest(keyring, L2))
     assert new.payload == old.payload
 
 
+def log_records(path):
+    records, end = read_frames(path.read_bytes(), path)
+    assert end == path.stat().st_size
+    return [(seq, bytes(body)) for seq, body in records]
+
+
 def test_snapshot_folds_log(keyring, starbucks, tmp_path):
     eng = make_engine(keyring, storage_dir=tmp_path / "e1")
     eng.bulk_insert(signed_items(starbucks, keyring))
     eng.snapshot()
-    assert (tmp_path / "e1" / "log.jsonl").read_text() == ""
+    assert (tmp_path / "e1" / LOG_FILE).read_bytes() == b""
+    (folded, _), = log_records(tmp_path / "e1" / SNAPSHOT_FILE)
+    assert folded == 1
     eng.bulk_insert(signed_items(shop(88), keyring))
+    assert [seq for seq, _ in log_records(tmp_path / "e1" / LOG_FILE)] == [2]
 
     reborn = make_engine(keyring, storage_dir=tmp_path / "e1")
-    assert reborn.co_table == eng.co_table
-    assert reborn.tile_tables == eng.tile_tables
+    assert_same_state(reborn, eng)
+    assert reborn.log_records == 1
 
 
 def assert_same_state(a, b):
     assert a.co_table == b.co_table
     assert a.tile_tables == b.tile_tables
     assert a.cbf.counters == b.cbf.counters
+
+
+def test_one_log_record_per_bulk_request(keyring, starbucks, tmp_path):
+    eng = make_engine(keyring, storage_dir=tmp_path / "e1", bf_m=4096)
+    items = signed_items(starbucks, keyring)
+    eng.bulk_insert(items)
+    eng.bulk_delete([it.name.name.text for it in items[:2]],
+                    trust.user_identity("Foo", "Alice"))
+    eng.bulk_delete([items[0].name.name.text], trust.user_identity("Foo", "Alice"))
+    (s1, insert), (s2, delete) = log_records(tmp_path / "e1" / LOG_FILE)
+    assert (s1, s2) == (1, 2)
+    # Each name is stored once, inside its wire bytes: the record is those
+    # bytes plus a kind byte and eight bytes of lengths per item.
+    assert all(item.to_wire() in insert for item in items)
+    assert len(insert) == 1 + sum(8 + len(item.to_wire()) for item in items)
+    assert delete == b"D" + "\n".join(it.name.name.text for it in items[:2]).encode()
 
 
 def test_torn_log_tail_is_cut_at_every_offset(keyring, starbucks, tmp_path):
@@ -328,37 +413,50 @@ def test_torn_log_tail_is_cut_at_every_offset(keyring, starbucks, tmp_path):
     after.bulk_insert(items)
 
     eng = make_engine(keyring, storage_dir=tmp_path / "e1", bf_m=4096)
-    eng.bulk_insert(items)
-    log_path = tmp_path / "e1" / "log.jsonl"
+    eng.bulk_insert(items[:-1])
+    log_path = tmp_path / "e1" / LOG_FILE
+    start = log_path.stat().st_size
+    eng.bulk_insert(items[-1:])
     full = log_path.read_bytes()
-    start = full.rindex(b"\n", 0, len(full) - 1) + 1
 
     for cut in range(start, len(full)):
         log_path.write_bytes(full[:cut])
         reborn = make_engine(keyring, storage_dir=tmp_path / "e1", bf_m=4096)
         assert_same_state(reborn, before)
         assert log_path.read_bytes() == full[:start], cut
-        # The next append starts on a line of its own.
+        # The next append lands as a whole record right after the last one.
         reborn.bulk_insert(items[-1:])
+        assert log_path.read_bytes() == full, cut
         again = make_engine(keyring, storage_dir=tmp_path / "e1", bf_m=4096)
         assert_same_state(again, after)
 
 
-def test_corrupt_log_line_raises_storage_error(keyring, starbucks, tmp_path):
+def test_flipped_bit_in_a_complete_record_raises_storage_error(keyring, starbucks,
+                                                               tmp_path):
     eng = make_engine(keyring, storage_dir=tmp_path / "e1", bf_m=4096)
-    eng.bulk_insert(signed_items(starbucks, keyring))
-    log_path = tmp_path / "e1" / "log.jsonl"
-    lines = log_path.read_bytes().split(b"\n")
-    for index in (0, len(lines) - 2):       # the first and the last record
-        broken = list(lines)
-        broken[index] = broken[index][:20]
-        log_path.write_bytes(b"\n".join(broken))
-        with pytest.raises(StorageError):
-            make_engine(keyring, storage_dir=tmp_path / "e1", bf_m=4096)
+    items = signed_items(starbucks, keyring)
+    eng.bulk_insert(items[:2])
+    eng.snapshot()
+    eng.bulk_insert(items[2:])
+    eng.bulk_delete([items[0].name.name.text], trust.user_identity("Foo", "Alice"))
+    for path in (tmp_path / "e1" / LOG_FILE, tmp_path / "e1" / SNAPSHOT_FILE):
+        good = path.read_bytes()
+        for offset in range(len(good)):
+            broken = bytearray(good)
+            broken[offset] ^= 1 << (offset % 8)
+            path.write_bytes(bytes(broken))
+            with pytest.raises(StorageError, match=path.name):
+                make_engine(keyring, storage_dir=tmp_path / "e1", bf_m=4096)
+        path.write_bytes(good)
+    assert_same_state(make_engine(keyring, storage_dir=tmp_path / "e1", bf_m=4096), eng)
 
 
-def test_crash_between_snapshot_replace_and_log_truncate(keyring, starbucks,
-                                                         tmp_path, monkeypatch):
+class Crash(Exception):
+    pass
+
+
+@pytest.mark.parametrize("step", ["tmp-written", "replaced", "log-reset"])
+def test_crash_at_each_snapshot_step(keyring, starbucks, tmp_path, monkeypatch, step):
     eng = make_engine(keyring, storage_dir=tmp_path / "e1", bf_m=4096)
     items = signed_items(starbucks, keyring)
     eng.bulk_insert(items + signed_items(shop(77), keyring))
@@ -366,23 +464,48 @@ def test_crash_between_snapshot_replace_and_log_truncate(keyring, starbucks,
     eng.bulk_delete([it.name.name.text for it in items],
                     trust.user_identity("Foo", "Alice"))
 
-    class Crash(Exception):
-        pass
+    replace, write_bytes = Path.replace, Path.write_bytes
 
-    replace = Path.replace
+    def crash_instead(self, target):
+        raise Crash()
 
     def replace_then_crash(self, target):
         replace(self, target)
         raise Crash()
 
-    monkeypatch.setattr(Path, "replace", replace_then_crash)
+    def reset_then_crash(self, data):
+        write_bytes(self, data)
+        if self.name == LOG_FILE:
+            raise Crash()
+
+    patch = {"tmp-written": ("replace", crash_instead),
+             "replaced": ("replace", replace_then_crash),
+             "log-reset": ("write_bytes", reset_then_crash)}[step]
+    monkeypatch.setattr(Path, *patch)
     with pytest.raises(Crash):
         eng.snapshot()
     monkeypatch.undo()
-    assert (tmp_path / "e1" / "log.jsonl").read_text().count('"delete"') == 3
+    # Until the log is reset it still holds the delete record, which replay
+    # applies or skips by its sequence number.
+    kept = [seq for seq, _ in log_records(tmp_path / "e1" / LOG_FILE)]
+    assert kept == ([] if step == "log-reset" else [2])
 
     reborn = make_engine(keyring, storage_dir=tmp_path / "e1", bf_m=4096)
     assert_same_state(reborn, eng)
+    assert reborn.log_records == (1 if step == "tmp-written" else 0)
+    # Later records follow on, and a second restart agrees.
+    reborn.bulk_insert(signed_items(shop(88), keyring))
+    again = make_engine(keyring, storage_dir=tmp_path / "e1", bf_m=4096)
+    assert_same_state(again, reborn)
+    assert again.log_records == reborn.log_records + 1
+
+
+@pytest.mark.parametrize("old", ["log.jsonl", "snapshot.json"])
+def test_store_in_the_old_format_is_refused(keyring, tmp_path, old):
+    (tmp_path / "e1").mkdir()
+    (tmp_path / "e1" / old).write_text('{"op": "delete", "name": "x"}\n')
+    with pytest.raises(StorageError, match=old):
+        make_engine(keyring, storage_dir=tmp_path / "e1")
 
 
 def test_bf_publication_log_serves_by_seq(keyring, starbucks):

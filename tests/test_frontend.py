@@ -143,6 +143,25 @@ def test_stored_once_feature_appears_once():
     assert narrow.counts["itemsFetched"] == 2
 
 
+def test_listing_cached_before_a_remove_drops_the_gone_reference():
+    cluster = world_cluster()
+    qh, ih = handlers(cluster)
+    straddle = multipoint(31, [[12.511, 41.891], [12.531, 41.891]])
+    assert ih.insert(straddle).all_accepted
+    assert ih.insert(multipoint(32, [[12.532, 41.892]])).all_accepted
+    wide = qh.range_query(rome_query(bbox=BoundingBox.of(12.51, 41.89, 12.535, 41.8999)))
+    assert sorted(f.oid for f in wide.features) == ["31", "32"]
+    assert wide.counts["itemsRejected"] == 0
+
+    assert ih.remove(straddle).all_accepted
+    # The cached listing of the non-canonical tile still names a Reference
+    # to 31; its engine answers "gone", and only that Reference is dropped.
+    narrow = qh.range_query(rome_query(bbox=BoundingBox.of(12.5305, 41.8905,
+                                                           12.5395, 41.8995)))
+    assert [f.oid for f in narrow.features] == ["32"]
+    assert narrow.counts["itemsRejected"] == 1
+
+
 def test_unroutable_tiles_raise_partial_result():
     cluster = world_cluster(prefixes=("ndn:/OGB/12",))
     qh, ih = handlers(cluster)
@@ -224,7 +243,7 @@ def test_unvalidatable_items_are_dropped_and_counted():
     rogue["properties"]["oid"] = 666
     forged = make_ogb_data_set(parse_feature(rogue), 60000)[2]
     engine = cluster.engines["e1"]
-    engine._apply_insert(forged, record=False)
+    engine._put(forged.name.name.text, forged.to_wire())
     engine.clear_response_caches()
     cluster.network.flush_caches()
 

@@ -1,4 +1,5 @@
 import io
+import json
 import socket
 import threading
 import time
@@ -8,6 +9,7 @@ import pytest
 from ogb import trust
 from ogb.cluster import (ClusterConfig, SimCluster, SocketCluster,
                          network_cert_fetcher)
+from ogb.engine import bulk_channel
 from ogb.errors import NoRouteError, ProtocolError
 from ogb.frontend import Credentials, InsertHandler, QueryHandler, RangeQuery
 from ogb.geodata import canonical_json, make_ogb_data_set, parse_feature
@@ -244,6 +246,70 @@ def test_socket_and_sim_modes_agree_on_result_sets():
     sim_results = run_queries(qh)
 
     assert socket_results == sim_results
+
+
+def test_socket_listing_cached_before_a_remove_drops_the_gone_reference():
+    ports = free_ports(4)
+    cluster = SocketCluster(ClusterConfig.from_dict(cluster_dict("socket", ports)))
+    cluster.start()
+    try:
+        kp, cert = cluster.issue_user("Foo", "Alice")
+        creds = Credentials("Foo", "Alice", kp, cert)
+        substrate = cluster.substrate()
+        qh, ih = handlers_for(substrate, cluster.anchor,
+                              network_cert_fetcher(substrate), creds)
+        straddle, other = WORLD[2], dict(WORLD[0])
+        assert ih.insert(straddle).all_accepted
+        other["geometry"] = {"type": "Point", "coordinates": [12.532, 41.892]}
+        assert ih.insert(other).all_accepted
+        query = RangeQuery(bbox=BoundingBox.of(12.51, 41.89, 12.535, 41.8999),
+                           mode="intersect", tid="Foo", cid="ShopApp")
+        assert len(qh.range_query(query).features) == 2
+
+        assert ih.remove(straddle).all_accepted
+        # The engine's server still holds the listing naming a Reference to
+        # the removed feature; the "gone" reply drops only that Reference.
+        query.bbox = BoundingBox.of(12.5305, 41.8905, 12.5395, 41.8995)
+        narrow = qh.range_query(query)
+        assert [f.oid for f in narrow.features] == ["1234"]
+        assert narrow.counts["itemsRejected"] == 1
+        substrate.close()
+    finally:
+        cluster.stop()
+
+
+def stored_socket_cluster(storage):
+    data = cluster_dict("socket", free_ports(4))
+    data["storageDir"] = str(storage)
+    cluster = SocketCluster(ClusterConfig.from_dict(data))
+    cluster.start()
+    return cluster
+
+
+def test_socket_status_reports_the_last_load(tmp_path):
+    cluster = stored_socket_cluster(tmp_path / "storage")
+    try:
+        kp, cert = cluster.issue_user("Foo", "Alice")
+        substrate = cluster.substrate()
+        _, ih = handlers_for(substrate, cluster.anchor,
+                             network_cert_fetcher(substrate),
+                             Credentials("Foo", "Alice", kp, cert))
+        assert ih.insert(WORLD[0]).all_accepted
+        substrate.close()
+    finally:
+        cluster.stop()
+
+    cluster = stored_socket_cluster(tmp_path / "storage")
+    try:
+        substrate = cluster.substrate()
+        reply = substrate.get(bulk_channel("east") + "/status-1",
+                              payload=canonical_json({"op": "status"}))
+        status = json.loads(reply.payload)
+        assert (status["logRecords"], status["items"]) == (1, 3)
+        assert isinstance(status["loadMs"], float) and status["loadMs"] > 0.0
+        substrate.close()
+    finally:
+        cluster.stop()
 
 
 def feature_prefixes(feature):
