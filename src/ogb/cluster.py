@@ -694,17 +694,22 @@ class SocketCluster:
                 thread.start()
                 self._threads.append(thread)
 
+    def _all_servers(self) -> list[ContentServer]:
+        servers = list(self.servers.values()) + [self.cert_server]
+        if self.bf_server is not None:
+            servers.append(self.bf_server)
+        return servers
+
     def stop(self) -> None:
+        """Stop every server; their threads and the subscription threads
+        end with them."""
         self._stopping = True
         if self.bf_client is not None:
             self.bf_client.close()
         for thread in self._threads:
             thread.join(timeout=2.0)
-        for server in self.servers.values():
+        for server in self._all_servers():
             server.stop()
-        self.cert_server.stop()
-        if self.bf_server is not None:
-            self.bf_server.stop()
 
     def _subscription_loop(self, engine_id: str) -> None:
         while not self._stopping:
@@ -723,11 +728,7 @@ class SocketCluster:
             self.bf_feed.deliver(engine_id, seq, fetched)
 
     def addresses(self) -> list[tuple[str, int]]:
-        peers = [server.address for server in self.servers.values()]
-        peers.append(self.cert_server.address)
-        if self.bf_server is not None:
-            peers.append(self.bf_server.address)
-        return peers
+        return [server.address for server in self._all_servers()]
 
     def substrate(self) -> SocketSubstrate:
         return SocketSubstrate(self.addresses())
@@ -738,6 +739,18 @@ class SocketCluster:
         self.cert_repo.add(tenant_cert)
         self.cert_repo.add(cert)
         return kp, cert
+
+    def flush_caches(self) -> None:
+        for server in self._all_servers():
+            server.clear_cache()
+        for eid, engine in self.engines.items():
+            with self.servers[eid].dispatch_lock:
+                engine.clear_response_caches()
+
+    def snapshot(self) -> None:
+        for eid, engine in self.engines.items():
+            with self.servers[eid].dispatch_lock:
+                engine.snapshot()
 
     def status(self) -> dict:
         report = {

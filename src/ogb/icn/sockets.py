@@ -1,10 +1,25 @@
-"""TCP transport: threaded content servers and a blocking client substrate.
+"""TCP transport: threaded content servers and a client substrate.
 
 A ContentServer announces its prefixes to every client on connect, answers
 interests from its content store or producers, and can push a held reply
-later (solicited only: a pending interest must exist).  The SocketSubstrate
-mirrors the simulated substrate's surface (get, get_many, now_ms) so the
-frontend runs unchanged over real sockets.
+later (solicited only: a pending interest must exist).  Producers run one at
+a time under the server's dispatch lock, because engine handlers are not
+thread-safe.  The delay a producer returns is the simulator's modeled
+processing time; it is not slept here.
+
+The SocketSubstrate mirrors the simulated substrate's surface (get,
+get_many, now_ms) so the frontend runs unchanged over real sockets.  It
+keeps one connection per server, whose reader thread routes each reply by
+name to the fetch waiting on it.  A fetch asks for segment 0, then for
+segments 1..final at once.  `get_many` keeps up to `window` fetches in
+flight from the calling thread, and sends a segment's interest again when
+no reply comes within its lifetime, doubling the lifetime on each of
+SOCKET_RETRIES attempts.
+
+Every connection sets TCP_NODELAY: pipelined interests and back-to-back
+replies would otherwise wait for the peer's delayed ACK (Nagle's
+algorithm).  `stop` and `close` shut sockets down before closing them,
+which wakes the threads blocked on them, so nothing keeps running after.
 """
 
 from __future__ import annotations
@@ -15,7 +30,7 @@ import random
 import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
 from typing import Callable, Optional
 
 from ..errors import (NoRouteError, ProtocolError, TimeoutError_,
@@ -35,6 +50,23 @@ def _now_ms() -> float:
     return time.monotonic() * 1000.0
 
 
+def _no_delay(sock) -> None:
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
+def _shut(sock) -> None:
+    """Close `sock`, first waking any thread blocked on it in accept() or
+    recv(); close() alone does not wake them on Linux."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    try:
+        sock.close()
+    except OSError:
+        pass
+
+
 class _ServedConn:
     def __init__(self, sock):
         self.sock = sock
@@ -50,7 +82,11 @@ class _ServedConn:
 
 
 class ContentServer:
-    """One listener hosting producers behind announced prefixes."""
+    """One listener hosting producers behind announced prefixes.
+
+    Producers run only under `dispatch_lock`; hold it to touch a producer's
+    state from another thread.
+    """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  cache_capacity: int = 0):
@@ -59,7 +95,7 @@ class ContentServer:
         self.cs = ContentStore(cache_capacity)
         self._producers: list[tuple[tuple[str, ...], Callable]] = []
         self._prefixes: list[str] = []
-        self._dispatch = threading.Lock()
+        self.dispatch_lock = threading.Lock()
         self._state = threading.Lock()
         self._pending: dict[str, set[_ServedConn]] = {}
         self._conns: set[_ServedConn] = set()
@@ -81,23 +117,21 @@ class ContentServer:
     def stop(self) -> None:
         self._closing = True
         if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+            _shut(self._listener)
         with self._state:
             conns = list(self._conns)
             self._conns.clear()
             self._pending.clear()
         for conn in conns:
-            try:
-                conn.sock.close()
-            except OSError:
-                pass
+            _shut(conn.sock)
 
     @property
     def address(self) -> tuple[str, int]:
         return (self.host, self.port)
+
+    def clear_cache(self) -> None:
+        with self._state:
+            self.cs.clear()
 
     def publish(self, content: ContentObject) -> int:
         """Satisfy any interests held open for this exact name; returns how
@@ -119,9 +153,15 @@ class ContentServer:
                              daemon=True).start()
 
     def _serve(self, sock) -> None:
+        _no_delay(sock)
         conn = _ServedConn(sock)
         with self._state:
-            self._conns.add(conn)
+            closing = self._closing     # else `stop` will shut this one
+            if not closing:
+                self._conns.add(conn)
+        if closing:
+            _shut(sock)
+            return
         try:
             for index, prefix in enumerate(self._prefixes):
                 last = index == len(self._prefixes) - 1
@@ -164,15 +204,13 @@ class ContentServer:
         handler = self._find_producer(interest.name)
         if handler is None:
             return
-        with self._dispatch:
+        with self.dispatch_lock:
             result = handler(interest)
             if result is None:
                 with self._state:
                     self._pending.setdefault(interest.name, set()).add(conn)
                 return
-            content, delay_ms = result
-            if delay_ms > 0:
-                time.sleep(delay_ms / 1000.0)
+            content = result[0]
             with self._state:
                 self.cs.put(content, _now_ms())
         conn.send(wire.content_message(content))
@@ -218,10 +256,114 @@ class _Peer:
         for waiters in pending:
             for waiter in waiters:
                 waiter.put(error)
+        _shut(self.sock)
+
+
+class _Segment:
+    """One segment interest of a fetch, and the waiter its reply goes to."""
+
+    def __init__(self, fetch: "_Fetch", index: int):
+        self.fetch = fetch
+        self.index = index
+        self.text = segment_name(fetch.base, index).text
+        payload = fetch.payload if index == 0 else b""
+        envelope = fetch.sign(self.text, payload) if fetch.sign else None
+        self.interest = Interest(self.text, payload, envelope, fetch.lifetime_ms)
+        self.attempt = 0
+        self.deadline: Optional[float] = None
+
+    def put(self, value) -> None:
+        """Takes the reply, or the error that closed the connection."""
+        self.fetch.events.put((self, value))
+
+
+class _Fetch:
+    """One named object in flight: segment 0, then segments 1..final at once.
+    `result` is set, to a FetchResult or an Exception, once it is over."""
+
+    def __init__(self, slot: int, peer: _Peer, events: queue.Queue, send,
+                 name: str, payload: bytes = b"", sign=None, validator=None,
+                 lifetime_ms: Optional[float] = DEFAULT_LIFETIME_MS,
+                 retries: int = SOCKET_RETRIES):
+        self.slot = slot
+        self.peer = peer
+        self.events = events
+        self.send = send
+        self.name = name
+        self.base = Name.from_text(name)
+        self.payload = payload
+        self.sign = sign
+        self.validator = validator
+        self.lifetime_ms = lifetime_ms
+        self.retries = retries
+        self.segments: dict[int, ContentObject] = {}
+        self.waiting: dict[int, _Segment] = {}
+        self.final: Optional[int] = None
+        self.result = None
+        self.request(_Segment(self, 0))
+
+    def request(self, seg: _Segment) -> None:
+        self.waiting[seg.index] = seg
         try:
-            self.sock.close()
-        except OSError:
-            pass
+            self.peer.add_waiter(seg.text, seg)
+        except NoRouteError as exc:
+            self.finish(exc)
+            return
+        if not self.send(self.peer, seg.interest):
+            self.finish(NoRouteError("connection to %s:%d is closed"
+                                     % self.peer.address))
+            return
+        if self.lifetime_ms is not None:
+            seg.deadline = (time.monotonic()
+                            + self.lifetime_ms / 1000.0 * 2 ** seg.attempt)
+
+    def on_timeout(self, seg: _Segment) -> None:
+        self.peer.drop_waiter(seg.text, seg)
+        if seg.attempt >= self.retries:
+            self.finish(TimeoutError_("timed out fetching %s after %d attempts"
+                                      % (seg.text, self.retries + 1)))
+            return
+        seg.attempt += 1
+        self.request(seg)
+
+    def on_reply(self, seg: _Segment, value) -> None:
+        if self.result is not None or self.waiting.get(seg.index) is not seg:
+            return                      # late: the fetch or segment is over
+        del self.waiting[seg.index]
+        self.peer.drop_waiter(seg.text, seg)    # a retry's, if still held
+        if isinstance(value, Exception):
+            self.finish(value)
+            return
+        try:
+            if self.validator is not None:
+                self.validator(value)
+        except Exception as exc:
+            self.finish(exc)
+            return
+        if value.final_segment is not None:
+            self.final = value.final_segment
+        if self.final is None:
+            self.finish(ValidationError(
+                "integrity", "segment %d of %s lacks a final segment index"
+                % (seg.index, self.name)))
+            return
+        self.segments[seg.index] = value
+        for index in range(self.final + 1):
+            if index not in self.segments and index not in self.waiting:
+                self.request(_Segment(self, index))
+                if self.result is not None:
+                    return
+        if not self.waiting:
+            ordered = [self.segments[i] for i in range(self.final + 1)]
+            self.finish(FetchResult(self.name,
+                                    b"".join(c.payload for c in ordered),
+                                    ordered))
+
+    def finish(self, result) -> None:
+        self.result = result
+        for seg in self.waiting.values():
+            self.peer.drop_waiter(seg.text, seg)
+        self.waiting.clear()
 
 
 class SocketSubstrate:
@@ -237,6 +379,7 @@ class SocketSubstrate:
 
     def _connect(self, address: tuple[str, int], timeout_s: float) -> None:
         sock = socket.create_connection(address, timeout=timeout_s)
+        _no_delay(sock)
         peer = _Peer(sock, address)
         while True:
             message = wire.read_frame(sock)
@@ -277,32 +420,8 @@ class SocketSubstrate:
     def now_ms(self) -> float:
         return _now_ms()
 
-    def _fetch_segment(self, peer: _Peer, seg_text: str, payload: bytes,
-                       sign, lifetime_ms, retries: int) -> ContentObject:
-        envelope = sign(seg_text, payload) if sign else None
-        waiter: queue.Queue = queue.Queue()
-        timeout_s = None if lifetime_ms is None else lifetime_ms / 1000.0
-        for attempt in range(retries + 1):
-            interest = Interest(seg_text, payload, envelope, lifetime_ms)
-            peer.add_waiter(seg_text, waiter)
-            if not self._send(peer, wire.interest_message(
-                    interest, self._rng.getrandbits(63))):
-                peer.drop_waiter(seg_text, waiter)
-                raise NoRouteError("connection to %s:%d is closed"
-                                   % peer.address)
-            wait_s = None if timeout_s is None else timeout_s * (2 ** attempt)
-            try:
-                value = waiter.get(timeout=wait_s)
-            except queue.Empty:
-                peer.drop_waiter(seg_text, waiter)
-                continue
-            if isinstance(value, Exception):
-                raise value
-            return value
-        raise TimeoutError_("timed out fetching %s after %d attempts"
-                            % (seg_text, retries + 1))
-
-    def _send(self, peer: _Peer, message: dict) -> bool:
+    def _send(self, peer: _Peer, interest: Interest) -> bool:
+        message = wire.interest_message(interest, self._rng.getrandbits(63))
         try:
             with peer.write_lock:
                 wire.write_frame(peer.sock, message)
@@ -310,42 +429,65 @@ class SocketSubstrate:
         except OSError:
             return False
 
+    def _begin(self, slot: int, request: dict, events: queue.Queue) -> _Fetch:
+        peer = self.fib.lookup(request["name"])
+        if peer is None:
+            raise NoRouteError("no route for %s" % request["name"])
+        return _Fetch(slot, peer, events, self._send, **request)
+
+    def _fetch_all(self, requests: list[dict], window: int) -> list:
+        results: list = [None] * len(requests)
+        events: queue.Queue = queue.Queue()
+        todo = deque(enumerate(requests))
+        active: list[_Fetch] = []
+        try:
+            while todo or active:
+                while todo and len(active) < window:
+                    slot, request = todo.popleft()
+                    try:
+                        active.append(self._begin(slot, request, events))
+                    except Exception as exc:
+                        results[slot] = exc
+                for fetch in active:
+                    if fetch.result is not None:
+                        results[fetch.slot] = fetch.result
+                active = [f for f in active if f.result is None]
+                if not active:
+                    continue
+                deadlines = [seg.deadline for fetch in active
+                             for seg in fetch.waiting.values()
+                             if seg.deadline is not None]
+                timeout = (max(0.0, min(deadlines) - time.monotonic())
+                           if deadlines else None)
+                try:
+                    seg, value = events.get(timeout=timeout)
+                except queue.Empty:
+                    pass
+                else:
+                    seg.fetch.on_reply(seg, value)
+                now = time.monotonic()
+                for fetch in active:
+                    for seg in list(fetch.waiting.values()):
+                        if (fetch.result is None and seg.deadline is not None
+                                and seg.deadline <= now):
+                            fetch.on_timeout(seg)
+        finally:
+            for fetch in active:        # left by an error: release waiters
+                fetch.finish(fetch.result)
+        return results
+
     def get(self, name: str, payload: bytes = b"", sign=None, validator=None,
             lifetime_ms: Optional[float] = DEFAULT_LIFETIME_MS,
             retries: int = SOCKET_RETRIES) -> FetchResult:
-        peer = self.fib.lookup(name)
-        if peer is None:
-            raise NoRouteError("no route for %s" % name)
-        base = Name.from_text(name)
-        segments = []
-        final: Optional[int] = None
-        index = 0
-        while final is None or index <= final:
-            seg_text = segment_name(base, index).text
-            content = self._fetch_segment(peer, seg_text,
-                                          payload if index == 0 else b"",
-                                          sign, lifetime_ms, retries)
-            if validator is not None:
-                validator(content)
-            if content.final_segment is not None:
-                final = content.final_segment
-            if final is None:
-                raise ValidationError("integrity",
-                                      "segment %d of %s lacks a final segment"
-                                      " index" % (index, name))
-            segments.append(content)
-            index += 1
-        return FetchResult(name, b"".join(c.payload for c in segments),
-                           segments)
+        [result] = self._fetch_all([{
+            "name": name, "payload": payload, "sign": sign,
+            "validator": validator, "lifetime_ms": lifetime_ms,
+            "retries": retries}], 1)
+        if isinstance(result, Exception):
+            raise result
+        return result
 
     def get_many(self, requests: list[dict], window: int = 8) -> list:
-        def one(request: dict):
-            request = dict(request)
-            name = request.pop("name")
-            try:
-                return self.get(name, **request)
-            except Exception as exc:
-                return exc
-
-        with ThreadPoolExecutor(max_workers=max(1, window)) as pool:
-            return list(pool.map(one, requests))
+        """Fetch several objects with at most `window` in flight; returns a
+        FetchResult or an Exception per request, in order."""
+        return self._fetch_all(requests, max(1, window))

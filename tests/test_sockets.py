@@ -1,6 +1,7 @@
 import io
 import json
 import socket
+import sys
 import threading
 import time
 
@@ -10,14 +11,14 @@ from ogb import trust
 from ogb.cluster import (ClusterConfig, SimCluster, SocketCluster,
                          network_cert_fetcher)
 from ogb.engine import bulk_channel
-from ogb.errors import NoRouteError, ProtocolError
+from ogb.errors import NoRouteError, ProtocolError, TimeoutError_
 from ogb.frontend import Credentials, InsertHandler, QueryHandler, RangeQuery
 from ogb.geodata import canonical_json, make_ogb_data_set, parse_feature
 from ogb.grid import BoundingBox
 from ogb.icn import wire
 from ogb.icn.core import ContentObject, Interest, build_segments
 from ogb.icn.sockets import ContentServer, SocketSubstrate
-from ogb.names import tile_prefix
+from ogb.names import Name, split_segment, tile_prefix
 from ogb.trust import TrustEnvelope
 
 from conftest import bad_publications, starbucks_dict
@@ -67,7 +68,6 @@ def echo_server():
 
     def producer(interest):
         calls["count"] += 1
-        from ogb.names import Name, split_segment
         base, seg = split_segment(Name.from_text(interest.name))
         segments = build_segments(base, b"pong" * 6000, freshness_ms=60000.0)
         if seg is None or seg >= len(segments):
@@ -116,6 +116,135 @@ def test_publish_satisfies_held_interest():
         server.publish(content)
         thread.join(timeout=5.0)
         assert results["got"].payload == b"later"
+        client.close()
+    finally:
+        server.stop()
+
+
+def test_connections_set_tcp_nodelay():
+    server, _ = echo_server()
+    try:
+        client = SocketSubstrate([server.address])
+        socks = [peer.sock for peer in client._peers]
+        socks += [conn.sock for conn in server._conns]
+        assert len(socks) == 2
+        for sock in socks:
+            assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        client.close()
+    finally:
+        server.stop()
+
+
+def test_modeled_delay_is_not_slept_over_sockets():
+    server = ContentServer()
+    content = build_segments("ndn:/slow/a", b"done", 1000.0)[0]
+    server.attach_producer("ndn:/slow", lambda interest: (content, 5000.0))
+    server.start()
+    try:
+        client = SocketSubstrate([server.address])
+        started = time.monotonic()
+        assert client.get("ndn:/slow/a").payload == b"done"
+        assert time.monotonic() - started < 1.0
+        client.close()
+    finally:
+        server.stop()
+
+
+def test_get_many_returns_mixed_objects_in_order():
+    server = ContentServer()
+
+    def producer(interest):
+        base, seg = split_segment(Name.from_text(interest.name))
+        body = b"big" * 9000 if base.text.endswith("/big") else base.text.encode()
+        segments = build_segments(base, body, freshness_ms=60000.0)
+        return segments[seg], 0.0
+
+    server.attach_producer("ndn:/mix", producer)
+    server.start()
+    try:
+        client = SocketSubstrate([server.address])
+        names = ["ndn:/mix/s0", "ndn:/mix/big", "ndn:/elsewhere/x",
+                 "ndn:/mix/s1", "ndn:/mix/s2"]
+        results = client.get_many([{"name": n} for n in names], window=2)
+        assert len(results[1].segments) == 4
+        assert results[1].payload == b"big" * 9000
+        assert isinstance(results[2], NoRouteError)
+        for i in (0, 3, 4):
+            assert results[i].payload == names[i].encode()
+        client.close()
+    finally:
+        server.stop()
+
+
+def test_concurrent_get_many_on_one_substrate():
+    server, _ = echo_server()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        client = SocketSubstrate([server.address])
+        results = {}
+
+        def worker(k):
+            # Names 0-2 are asked for by every thread at once.
+            names = ["ndn:/echo/%d" % i for i in range(3)]
+            names += ["ndn:/echo/%d-%d" % (k, i) for i in range(3)]
+            results[k] = client.get_many([{"name": n} for n in names],
+                                         window=3)
+
+        threads = [threading.Thread(target=worker, args=(k,))
+                   for k in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=20.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [[r.payload for r in results[k]] for k in range(6)] == \
+            [[b"pong" * 6000] * 6] * 6
+        client.close()
+    finally:
+        sys.setswitchinterval(interval)
+        server.stop()
+
+
+def dropping_server(drops):
+    """Answers every segment but holds (never answers) the first `drops`
+    interests for segment 1."""
+    server = ContentServer()
+    calls = {"seg1": 0}
+
+    def producer(interest):
+        base, seg = split_segment(Name.from_text(interest.name))
+        if seg == 1:
+            calls["seg1"] += 1
+            if calls["seg1"] <= drops:
+                return None
+        return build_segments(base, b"ping" * 6000, 60000.0)[seg], 0.0
+
+    server.attach_producer("ndn:/lossy", producer)
+    server.start()
+    return server, calls
+
+
+def test_a_dropped_reply_is_retried():
+    server, calls = dropping_server(drops=1)
+    try:
+        client = SocketSubstrate([server.address])
+        [result] = client.get_many([{"name": "ndn:/lossy/a",
+                                     "lifetime_ms": 100.0}])
+        assert result.payload == b"ping" * 6000
+        assert calls["seg1"] == 2
+        client.close()
+    finally:
+        server.stop()
+
+
+def test_a_fetch_fails_once_its_retries_run_out():
+    server, calls = dropping_server(drops=3)
+    try:
+        client = SocketSubstrate([server.address])
+        with pytest.raises(TimeoutError_):
+            client.get("ndn:/lossy/b", lifetime_ms=50.0, retries=2)
+        assert calls["seg1"] == 3
         client.close()
     finally:
         server.stop()
@@ -354,5 +483,69 @@ def test_socket_bloom_server_rejects_forged_publications():
         assert server.membership(later) == [True] * len(later)
         assert server.stats()["rejected"] == 3
         substrate.close()
+    finally:
+        cluster.stop()
+
+
+def test_stopped_socket_clusters_leave_no_threads():
+    baseline = threading.active_count()
+    for _ in range(3):
+        cluster = SocketCluster(
+            ClusterConfig.from_dict(cluster_dict("socket", free_ports(4))))
+        cluster.start()
+        substrate = cluster.substrate()
+        assert substrate.get(bulk_channel("east") + "/status-1",
+                             payload=canonical_json({"op": "status"}))
+        substrate.close()
+        cluster.stop()
+    limit = time.monotonic() + 2.0
+    while threading.active_count() > baseline and time.monotonic() < limit:
+        time.sleep(0.02)
+    assert threading.active_count() <= baseline
+
+
+def test_socket_flush_caches_shows_a_later_insert():
+    cluster = SocketCluster(
+        ClusterConfig.from_dict(cluster_dict("socket", free_ports(4))))
+    cluster.start()
+    try:
+        kp, cert = cluster.issue_user("Foo", "Alice")
+        substrate = cluster.substrate()
+        qh, ih = handlers_for(substrate, cluster.anchor,
+                              network_cert_fetcher(substrate),
+                              Credentials("Foo", "Alice", kp, cert))
+        assert ih.insert(WORLD[0]).all_accepted
+        assert len(run_queries(qh)[1]) == 1
+        neighbour = dict(WORLD[0], properties=dict(WORLD[0]["properties"],
+                                                   oid=77))
+        assert ih.insert(neighbour).all_accepted
+        # The listing is still served from the engine server's store.
+        assert len(run_queries(qh)[1]) == 1
+        cluster.flush_caches()
+        assert all(len(server.cs) == 0 for server in cluster._all_servers())
+        assert len(run_queries(qh)[1]) == 2
+        substrate.close()
+    finally:
+        cluster.stop()
+
+
+def test_socket_snapshot_folds_the_log(tmp_path):
+    cluster = stored_socket_cluster(tmp_path / "storage")
+    try:
+        kp, cert = cluster.issue_user("Foo", "Alice")
+        substrate = cluster.substrate()
+        _, ih = handlers_for(substrate, cluster.anchor,
+                             network_cert_fetcher(substrate),
+                             Credentials("Foo", "Alice", kp, cert))
+        assert ih.insert(WORLD[0]).all_accepted
+        cluster.snapshot()
+        substrate.close()
+    finally:
+        cluster.stop()
+
+    cluster = stored_socket_cluster(tmp_path / "storage")
+    try:
+        status = cluster.status()["engines"]["east"]
+        assert (status["logRecords"], status["items"]) == (0, 3)
     finally:
         cluster.stop()
