@@ -101,20 +101,12 @@ def _keystore(config: ClusterConfig) -> KeyStore:
     return KeyStore(config.keys_dir, config.seed)
 
 
-def _socket_peers(config: ClusterConfig) -> list[tuple[str, int]]:
-    peers = [(e.host or "127.0.0.1", e.port) for e in config.engines]
-    peers.append((config.cert_host or "127.0.0.1", config.cert_port))
-    if config.bf_enabled:
-        peers.append((config.bf_host or "127.0.0.1", config.bf_port))
-    return peers
-
-
 def _open_substrate(config: ClusterConfig, keystore=None):
     """The consumer-side substrate plus a certificate fetcher and closer."""
     if config.mode == "sim":
         cluster = SimCluster(config, keystore=keystore)
         return cluster.substrate, cluster.cert_repo.get_wire, (lambda: None)
-    substrate = SocketSubstrate(_socket_peers(config))
+    substrate = SocketSubstrate(config.addresses())
     return substrate, network_cert_fetcher(substrate), substrate.close
 
 

@@ -1,10 +1,17 @@
 """Cluster assembly: configuration, key material, certificate distribution,
-and the simulated deployment behind the CLI and the test suite.
+and the deployments behind the CLI and the test suite.
+
+`_Cluster` assembles a deployment once for both transports: the keys and
+certificates, the engines, the Bloom filter server and the `FilterFeed` that
+keeps it in step with every engine, plus `issue_user`, `flush_caches`,
+`snapshot`, `reset_counters` and `status`.  A transport adds its hosts
+(`_host`) and the way a Bloom subscription waits (`_subscribe`).
 
 A simulated cluster is a star.  Engines, the Bloom filter server, and the
 certificate repository hang off one switch over unconstrained links; the
 query-handler's access link carries the configured bandwidth, so batched
-tile-query traffic serializes exactly where the cost model charges it.
+tile-query traffic serializes exactly where the cost model charges it.  A
+socket cluster gives each of them a TCP listener instead.
 
 Key material derives deterministically from (seed, identity), so separate
 processes loading the same config materialize identical keys and names.
@@ -141,6 +148,15 @@ class ClusterConfig:
                 raise ConfigError("socket mode: bfServer needs a port")
             if not self.cert_port:
                 raise ConfigError("socket mode: certRepo needs a port")
+
+    def addresses(self) -> list[tuple[str, int]]:
+        """Where socket mode listens: each engine, the certificate repo,
+        then the Bloom filter server; the host defaults to loopback."""
+        peers = [(e.host, e.port) for e in self.engines]
+        peers.append((self.cert_host, self.cert_port))
+        if self.bf_enabled:
+            peers.append((self.bf_host, self.bf_port))
+        return [(host or "127.0.0.1", port) for host, port in peers]
 
     def to_dict(self) -> dict:
         d: dict = {
@@ -321,7 +337,7 @@ class KeyStore:
 
 class CertRepo:
     """In-process certificate directory; doubles as the producer behind the
-    system certificate prefix in a simulated cluster."""
+    system certificate prefix in either kind of cluster."""
 
     def __init__(self):
         self._certs: dict[str, trust.Certificate] = {}
@@ -332,9 +348,6 @@ class CertRepo:
     def get_wire(self, name: Name) -> Optional[bytes]:
         cert = self._certs.get(name.text)
         return cert.to_wire() if cert is not None else None
-
-    def __len__(self):
-        return len(self._certs)
 
     def producer(self, interest):
         base, seg = split_segment(Name.from_text(interest.name))
@@ -438,98 +451,172 @@ class FilterFeed:
             log.warning("digest reload for %s failed: %s", engine_id, exc)
 
 
-class SimCluster:
-    """A full deployment on one event loop, addressed through `substrate`."""
+def _cert_lookup(cert_repo: CertRepo, keys: KeyStore):
+    """Repo lookup with a keystore rescan, so identities issued after
+    startup still resolve.  It closes over the repo and the keys, not the
+    cluster, so the trust stores holding it keep no stopped cluster alive."""
 
-    def __init__(self, config: ClusterConfig, keystore: Optional[KeyStore] = None):
+    def lookup(name: Name):
+        wire = cert_repo.get_wire(name)
+        if wire is None:
+            for cert in keys.certificates():
+                cert_repo.add(cert)
+            wire = cert_repo.get_wire(name)
+        return wire
+
+    return lookup
+
+
+class _Cluster:
+    """The deployment both transports share.  `_assemble` puts each engine
+    and service on a host from the subclass's `_host`; every host has
+    `attach_producer`, `satisfy`, `dispatch_lock` and `clear_cache`."""
+
+    MODE = ""
+
+    def __init__(self, config: ClusterConfig, keystore: Optional[KeyStore]):
         config.validate()
-        if config.mode != "sim":
-            raise ConfigError("SimCluster requires mode=sim, got %r" % config.mode)
+        if config.mode != self.MODE:
+            raise ConfigError("%s requires mode=%s, got %r"
+                              % (type(self).__name__, self.MODE, config.mode))
         self.config = config
         self.keys = keystore or KeyStore(config.keys_dir, config.seed)
-        self.network = SimNetwork()
         self.cert_repo = CertRepo()
-        self.engines: dict[str, Engine] = {}
-        self.engine_nodes = {}
-        self._announcements: list[tuple[str, str]] = []
-
-        admin_kp, admin_cert = self.keys.admin()
-        self.anchor = admin_cert
+        self._cert_lookup = _cert_lookup(self.cert_repo, self.keys)
+        _, self.anchor = self.keys.admin()
         for cert in self.keys.certificates():
             self.cert_repo.add(cert)
+        self.engines: dict[str, Engine] = {}
+        self.servers: dict = {}
+        self.hosts: list = []
+        self.bloom_server = None
+        self.bf_server = None
+        self.bf_feed = None
 
+    def _assemble(self) -> None:
+        config = self.config
+        for ecfg in config.engines:
+            self._add_engine(ecfg)
+        if config.bf_enabled:
+            self.bloom_server = bloom.BloomServer(config.bf_m, config.bf_h,
+                                                  engines=list(self.engines))
+            self.bf_server = self._serve(
+                BF_SERVER_ID, (config.bf_host, config.bf_port),
+                {BF_QUERY_ROOT: BloomService(self.bloom_server).producer})
+        self.cert_server = self._serve(
+            CERT_REPO_ID, (config.cert_host, config.cert_port),
+            {CERT_ROOT: self.cert_repo.producer})
+
+    def _serve(self, host_id: str, address: tuple[str, int], producers: dict,
+               cache_capacity: int = 0):
+        host = self._host(host_id, address, cache_capacity)
+        for prefix, handler in producers.items():
+            host.attach_producer(prefix, handler)
+        self.hosts.append(host)
+        return host
+
+    def _add_engine(self, ecfg: EngineConfig) -> None:
+        kp, cert = self.keys.engine(ecfg.engine_id)
+        self.cert_repo.add(cert)
+        store = trust.TrustStore(self.anchor, rules=self.config.rules,
+                                 fetcher=self._cert_lookup)
+        storage = None
+        if self.config.storage_dir is not None:
+            storage = str(Path(self.config.storage_dir) / ecfg.engine_id)
+        engine = Engine(ecfg, kp, cert, store, storage_dir=storage)
+        producers = {prefix: engine.handle_named_interest
+                     for prefix in ecfg.served_prefixes}
+        producers[bulk_channel(ecfg.engine_id)] = engine.handle_service_interest
+        producers["%s/%s" % (bloom.BF_TOPIC, ecfg.engine_id)] = \
+            engine.handle_bf_interest
+        host = self._serve(ecfg.engine_id, (ecfg.host, ecfg.port), producers,
+                           ecfg.cache_capacity)
+        engine.publish_sink = host.satisfy
+        self.engines[ecfg.engine_id] = engine
+        self.servers[ecfg.engine_id] = host
+
+    def _start_feed(self, substrate) -> None:
+        """Load every engine's digest into the Bloom server over
+        `substrate`, then wait for each engine's next publication."""
+        self.bf_feed = FilterFeed(
+            self.bloom_server,
+            trust.TrustStore(self.anchor, rules=self.config.rules,
+                             fetcher=self._cert_lookup),
+            substrate)
+        for engine_id in self.engines:
+            self.bf_feed.recover(engine_id)
+            self._subscribe(engine_id)
+
+    def _each_engine(self):
+        """Every engine, each held while its producers cannot run."""
+        for engine_id, engine in self.engines.items():
+            with self.servers[engine_id].dispatch_lock:
+                yield engine
+
+    # -- lifecycle -----------------------------------------------------------
+
+    def issue_user(self, tid: str, uid: str) -> tuple[trust.KeyPair, trust.Certificate]:
+        """Tenant and user credentials, registered with the repository."""
+        _, tenant_cert = self.keys.tenant(tid)
+        kp, cert = self.keys.user(tid, uid)
+        self.cert_repo.add(tenant_cert)
+        self.cert_repo.add(cert)
+        return kp, cert
+
+    def flush_caches(self) -> None:
+        for host in self.hosts:
+            host.clear_cache()
+        for engine in self._each_engine():
+            engine.clear_response_caches()
+
+    def reset_counters(self) -> None:
+        for engine in self._each_engine():
+            engine.reset_counters()
+
+    def snapshot(self) -> None:
+        for engine in self._each_engine():
+            engine.snapshot()
+
+    def status(self) -> dict:
+        report = {
+            "mode": self.config.mode,
+            "engines": {engine.config.engine_id: engine.status()
+                        for engine in self._each_engine()},
+        }
+        if self.bloom_server is not None:
+            report["bfServer"] = self.bloom_server.stats()
+        return report
+
+
+class SimCluster(_Cluster):
+    """A full deployment on one event loop, addressed through `substrate`."""
+
+    MODE = "sim"
+
+    def __init__(self, config: ClusterConfig, keystore: Optional[KeyStore] = None):
+        super().__init__(config, keystore)
+        self.network = SimNetwork()
+        # Not hosts: these two cache nothing, so `flush_caches` skips them.
         self.network.add_node(SWITCH_ID)
         handler = self.network.add_node(HANDLER_ID)
         self.network.connect(HANDLER_ID, SWITCH_ID,
                              bandwidth_mbps=config.handler_bandwidth_mbps,
                              latency_ms=config.link_latency_ms)
-
-        for ecfg in config.engines:
-            self._add_engine(ecfg, admin_cert)
-
-        self.bloom_server = None
-        self.bf_feed = None
-        if config.bf_enabled:
-            self.bloom_server = bloom.BloomServer(
-                config.bf_m, config.bf_h,
-                engines=[e.engine_id for e in config.engines])
-            bf_node = self.network.add_node(BF_SERVER_ID)
-            self.network.connect(BF_SERVER_ID, SWITCH_ID,
-                                 latency_ms=config.link_latency_ms)
-            bf_node.attach_producer(BF_QUERY_ROOT,
-                                    BloomService(self.bloom_server).producer)
-            self._announcements.append((BF_QUERY_ROOT, BF_SERVER_ID))
-            self.bf_feed = FilterFeed(
-                self.bloom_server,
-                trust.TrustStore(admin_cert, rules=config.rules,
-                                 fetcher=self.cert_repo.get_wire),
-                SimSubstrate(self.network, bf_node))
-
-        cert_node = self.network.add_node(CERT_REPO_ID)
-        self.network.connect(CERT_REPO_ID, SWITCH_ID,
-                             latency_ms=config.link_latency_ms)
-        cert_node.attach_producer(CERT_ROOT, self.cert_repo.producer)
-        self._announcements.append((CERT_ROOT, CERT_REPO_ID))
-
+        self._assemble()
+        self.engine_nodes = self.servers
         # Announce only once every node exists, so each gets a full FIB.
-        for prefix, origin in self._announcements:
-            self.network.announce(prefix, origin)
-
+        for node in self.network.nodes.values():
+            for prefix in node.producers.prefixes():
+                self.network.announce(prefix, node.id)
         self.substrate = SimSubstrate(self.network, handler)
+        if self.bloom_server is not None:
+            self._start_feed(SimSubstrate(self.network, self.bf_server))
 
-        if self.bf_feed is not None:
-            for ecfg in config.engines:
-                self.bf_feed.recover(ecfg.engine_id)
-                self._subscribe(ecfg.engine_id)
-
-    def _add_engine(self, ecfg: EngineConfig, anchor: trust.Certificate) -> None:
-        kp, cert = self.keys.engine(ecfg.engine_id)
-        self.cert_repo.add(cert)
-        store = trust.TrustStore(anchor, rules=self.config.rules,
-                                 fetcher=self.cert_repo.get_wire)
-        storage = None
-        if self.config.storage_dir is not None:
-            storage = str(Path(self.config.storage_dir) / ecfg.engine_id)
-        engine = Engine(ecfg, kp, cert, store, storage_dir=storage)
-        node = self.network.add_node(ecfg.engine_id,
-                                     cache_capacity=ecfg.cache_capacity)
-        self.network.connect(ecfg.engine_id, SWITCH_ID,
+    def _host(self, host_id: str, address, cache_capacity: int):
+        node = self.network.add_node(host_id, cache_capacity=cache_capacity)
+        self.network.connect(host_id, SWITCH_ID,
                              latency_ms=self.config.link_latency_ms)
-        for prefix in ecfg.served_prefixes:
-            node.attach_producer(prefix, engine.handle_named_interest)
-            self._announcements.append((prefix, ecfg.engine_id))
-        channel = bulk_channel(ecfg.engine_id)
-        node.attach_producer(channel, engine.handle_service_interest)
-        self._announcements.append((channel, ecfg.engine_id))
-        topic = "%s/%s" % (bloom.BF_TOPIC, ecfg.engine_id)
-        node.attach_producer(topic, engine.handle_bf_interest)
-        self._announcements.append((topic, ecfg.engine_id))
-
-        engine.publish_sink = node.satisfy
-        self.engines[ecfg.engine_id] = engine
-        self.engine_nodes[ecfg.engine_id] = node
-
-    # -- bloom server wiring -------------------------------------------------
+        return node
 
     def _subscribe(self, engine_id: str) -> None:
         """Long-lived pending interest for the engine's next publication."""
@@ -547,40 +634,13 @@ class SimCluster:
 
         future.add_done_callback(deliver)
 
-    # -- lifecycle -----------------------------------------------------------
-
-    def issue_user(self, tid: str, uid: str) -> tuple[trust.KeyPair, trust.Certificate]:
-        """Tenant and user credentials, registered with the repository."""
-        _, tenant_cert = self.keys.tenant(tid)
-        kp, cert = self.keys.user(tid, uid)
-        self.cert_repo.add(tenant_cert)
-        self.cert_repo.add(cert)
-        return kp, cert
-
-    def flush_caches(self) -> None:
-        self.network.flush_caches()
-        for engine in self.engines.values():
-            engine.clear_response_caches()
-
     def reset_counters(self) -> None:
-        for engine in self.engines.values():
-            engine.reset_counters()
+        super().reset_counters()
         for node in self.network.nodes.values():
             node.counters.clear()
 
-    def snapshot(self) -> None:
-        for engine in self.engines.values():
-            engine.snapshot()
-
     def status(self) -> dict:
-        report = {
-            "mode": self.config.mode,
-            "engines": {eid: engine.status() for eid, engine in self.engines.items()},
-            "nodes": self.network.counters(),
-        }
-        if self.bloom_server is not None:
-            report["bfServer"] = self.bloom_server.stats()
-        return report
+        return dict(super().status(), nodes=self.network.counters())
 
 
 def network_cert_fetcher(substrate):
@@ -595,7 +655,7 @@ def network_cert_fetcher(substrate):
     return fetch
 
 
-class SocketCluster:
+class SocketCluster(_Cluster):
     """The SimCluster deployment hosted on TCP listeners instead.
 
     `start` binds one server per engine plus the certificate and Bloom
@@ -603,123 +663,39 @@ class SocketCluster:
     `substrate()` hands out a fresh client connected to everything.
     """
 
+    MODE = "socket"
+
     def __init__(self, config: ClusterConfig, keystore: Optional[KeyStore] = None):
-        config.validate()
-        if config.mode != "socket":
-            raise ConfigError("SocketCluster requires mode=socket, got %r"
-                              % config.mode)
-        self.config = config
-        self.keys = keystore or KeyStore(config.keys_dir, config.seed)
-        self.cert_repo = CertRepo()
-        self.engines: dict[str, Engine] = {}
-        self.servers: dict[str, ContentServer] = {}
+        super().__init__(config, keystore)
         self._stopping = False
         self._threads: list = []
+        self._assemble()
 
-        _, admin_cert = self.keys.admin()
-        self.anchor = admin_cert
-        for cert in self.keys.certificates():
-            self.cert_repo.add(cert)
-
-        for ecfg in config.engines:
-            self._add_engine(ecfg, admin_cert)
-
-        self.cert_server = ContentServer(config.cert_host, config.cert_port)
-        self.cert_server.attach_producer(CERT_ROOT, self.cert_repo.producer)
-
-        self.bloom_server = None
-        self.bf_server = None
-        self.bf_client = None
-        self.bf_feed = None
-        if config.bf_enabled:
-            self.bloom_server = bloom.BloomServer(
-                config.bf_m, config.bf_h,
-                engines=[e.engine_id for e in config.engines])
-            self.bf_server = ContentServer(config.bf_host, config.bf_port)
-            self.bf_server.attach_producer(
-                BF_QUERY_ROOT, BloomService(self.bloom_server).producer)
-
-    def _cert_lookup(self, name: Name):
-        """Repo lookup with a keystore rescan, so identities issued after
-        startup still resolve."""
-        wire = self.cert_repo.get_wire(name)
-        if wire is None:
-            for cert in self.keys.certificates():
-                self.cert_repo.add(cert)
-            wire = self.cert_repo.get_wire(name)
-        return wire
-
-    def _add_engine(self, ecfg: EngineConfig, anchor: trust.Certificate) -> None:
-        kp, cert = self.keys.engine(ecfg.engine_id)
-        self.cert_repo.add(cert)
-        store = trust.TrustStore(anchor, rules=self.config.rules,
-                                 fetcher=self._cert_lookup)
-        storage = None
-        if self.config.storage_dir is not None:
-            storage = str(Path(self.config.storage_dir) / ecfg.engine_id)
-        engine = Engine(ecfg, kp, cert, store, storage_dir=storage)
-        server = ContentServer(ecfg.host, ecfg.port,
-                               cache_capacity=ecfg.cache_capacity)
-        for prefix in ecfg.served_prefixes:
-            server.attach_producer(prefix, engine.handle_named_interest)
-        server.attach_producer(bulk_channel(ecfg.engine_id),
-                               engine.handle_service_interest)
-        server.attach_producer("%s/%s" % (bloom.BF_TOPIC, ecfg.engine_id),
-                               engine.handle_bf_interest)
-
-        engine.publish_sink = server.publish
-        self.engines[ecfg.engine_id] = engine
-        self.servers[ecfg.engine_id] = server
+    def _host(self, host_id: str, address: tuple[str, int], cache_capacity: int):
+        return ContentServer(*address, cache_capacity=cache_capacity)
 
     def start(self) -> None:
-        for server in self.servers.values():
+        for server in self.hosts:
             server.start()
-        self.cert_server.start()
-        if self.bf_server is not None:
-            self.bf_server.start()
         if self.bloom_server is not None:
-            self.bf_client = SocketSubstrate(
-                [server.address for server in self.servers.values()])
-            self.bf_feed = FilterFeed(
-                self.bloom_server,
-                trust.TrustStore(self.anchor, rules=self.config.rules,
-                                 fetcher=self._cert_lookup),
-                self.bf_client)
-            for ecfg in self.config.engines:
-                self.bf_feed.recover(ecfg.engine_id)
-            for ecfg in self.config.engines:
-                thread = threading.Thread(
-                    target=self._subscription_loop, args=(ecfg.engine_id,),
-                    daemon=True)
-                thread.start()
-                self._threads.append(thread)
+            self._start_feed(SocketSubstrate(
+                [server.address for server in self.servers.values()]))
 
-    def _all_servers(self) -> list[ContentServer]:
-        servers = list(self.servers.values()) + [self.cert_server]
-        if self.bf_server is not None:
-            servers.append(self.bf_server)
-        return servers
-
-    def stop(self) -> None:
-        """Stop every server; their threads and the subscription threads
-        end with them."""
-        self._stopping = True
-        if self.bf_client is not None:
-            self.bf_client.close()
-        for thread in self._threads:
-            thread.join(timeout=2.0)
-        for server in self._all_servers():
-            server.stop()
+    def _subscribe(self, engine_id: str) -> None:
+        thread = threading.Thread(target=self._subscription_loop,
+                                  args=(engine_id,), daemon=True)
+        thread.start()
+        self._threads.append(thread)
 
     def _subscription_loop(self, engine_id: str) -> None:
         while not self._stopping:
             seq, name = self.bf_feed.next_publication(engine_id)
             try:
-                fetched = self.bf_client.get(
+                fetched = self.bf_feed.substrate.get(
                     name, validator=self.bf_feed.validator(engine_id),
                     lifetime_ms=None)
             except ValidationError as exc:
-                fetched = exc
+                fetched = exc.with_traceback(None)  # which holds this frame
             except OgbError as exc:
                 if not self._stopping:
                     log.warning("bf subscription for %s ended: %s",
@@ -727,37 +703,18 @@ class SocketCluster:
                 return
             self.bf_feed.deliver(engine_id, seq, fetched)
 
-    def addresses(self) -> list[tuple[str, int]]:
-        return [server.address for server in self._all_servers()]
+    def stop(self) -> None:
+        """Stop every server; their threads and the subscription threads
+        end with them, and no engine keeps a sink into a stopped server."""
+        self._stopping = True
+        if self.bf_feed is not None:
+            self.bf_feed.substrate.close()
+        for thread in self._threads:
+            thread.join(timeout=2.0)
+        for server in self.hosts:
+            server.stop()
+        for engine in self.engines.values():
+            engine.publish_sink = None
 
     def substrate(self) -> SocketSubstrate:
-        return SocketSubstrate(self.addresses())
-
-    def issue_user(self, tid: str, uid: str) -> tuple[trust.KeyPair, trust.Certificate]:
-        _, tenant_cert = self.keys.tenant(tid)
-        kp, cert = self.keys.user(tid, uid)
-        self.cert_repo.add(tenant_cert)
-        self.cert_repo.add(cert)
-        return kp, cert
-
-    def flush_caches(self) -> None:
-        for server in self._all_servers():
-            server.clear_cache()
-        for eid, engine in self.engines.items():
-            with self.servers[eid].dispatch_lock:
-                engine.clear_response_caches()
-
-    def snapshot(self) -> None:
-        for eid, engine in self.engines.items():
-            with self.servers[eid].dispatch_lock:
-                engine.snapshot()
-
-    def status(self) -> dict:
-        report = {
-            "mode": self.config.mode,
-            "engines": {eid: engine.status()
-                        for eid, engine in self.engines.items()},
-        }
-        if self.bloom_server is not None:
-            report["bfServer"] = self.bloom_server.stats()
-        return report
+        return SocketSubstrate(self.config.addresses())

@@ -9,6 +9,7 @@ deterministic for a fixed input sequence.
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 from collections import Counter, deque
 from typing import Callable, Optional
@@ -151,7 +152,8 @@ class SimNode:
 
     A producer takes an Interest and returns (ContentObject, delay_ms) or
     None to hold the PIT entry until `satisfy` is called with a matching
-    content (long-lived subscriptions work this way).
+    content (long-lived subscriptions work this way).  Producers run on the
+    loop's one thread, so `dispatch_lock` locks nothing.
     """
 
     def __init__(self, network: "SimNetwork", node_id: str, cache_capacity: int = 0):
@@ -162,20 +164,15 @@ class SimNode:
         self.pit = Pit()
         self.cs = ContentStore(cache_capacity)
         self.links: dict[str, SimLink] = {}
-        self.producers: list[tuple[tuple[str, ...], Callable]] = []
+        self.producers = Fib()
+        self.dispatch_lock = contextlib.nullcontext()
         self.counters: Counter = Counter()
 
     def attach_producer(self, prefix: str, handler) -> None:
-        self.producers.append((Name.from_text(prefix).components, handler))
+        self.producers.add(prefix, handler)
 
-    def _find_producer(self, name: str):
-        comps = Name.from_text(name).components
-        best = None
-        for pcomps, handler in self.producers:
-            if comps[:len(pcomps)] == pcomps:
-                if best is None or len(pcomps) > len(best[0]):
-                    best = (pcomps, handler)
-        return best[1] if best else None
+    def clear_cache(self) -> None:
+        self.cs.clear()
 
     def express(self, interest: Interest, on_content) -> None:
         """Entry point for locally originated interests."""
@@ -194,7 +191,7 @@ class SimNode:
         if not self.pit.add(interest.name, face, expiry, self.loop.now):
             self.counters["aggregated"] += 1
             return
-        producer = self._find_producer(interest.name)
+        producer = self.producers.lookup(interest.name)
         if producer is not None:
             self.counters["producerCalls"] += 1
             result = producer(interest)
@@ -301,10 +298,6 @@ class SimNetwork:
                 queue.append(neighbor)
         for node_id, hop in toward.items():
             self.nodes[node_id].fib.add(prefix, hop)
-
-    def flush_caches(self) -> None:
-        for node in self.nodes.values():
-            node.cs.clear()
 
     def counters(self) -> dict[str, dict]:
         return {node_id: dict(node.counters) for node_id, node in self.nodes.items()}

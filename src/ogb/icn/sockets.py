@@ -1,11 +1,13 @@
 """TCP transport: threaded content servers and a client substrate.
 
-A ContentServer announces its prefixes to every client on connect, answers
-interests from its content store or producers, and can push a held reply
-later (solicited only: a pending interest must exist).  Producers run one at
-a time under the server's dispatch lock, because engine handlers are not
-thread-safe.  The delay a producer returns is the simulator's modeled
-processing time; it is not slept here.
+A ContentServer keeps its producers in a longest-prefix `Fib`, announces
+their prefixes to every client on connect, and answers interests from its
+content store or producers.  A producer may hold an interest; `satisfy`
+pushes the reply later, as on a simulated node (solicited only: a pending
+interest must exist).  Producers run one at a time under the server's
+dispatch lock, because engine handlers are not thread-safe.  The delay a
+producer returns is the simulator's modeled processing time; it is not
+slept here.
 
 The SocketSubstrate mirrors the simulated substrate's surface (get,
 get_many, now_ms) so the frontend runs unchanged over real sockets.  It
@@ -93,8 +95,7 @@ class ContentServer:
         self.host = host or "127.0.0.1"
         self.port = port
         self.cs = ContentStore(cache_capacity)
-        self._producers: list[tuple[tuple[str, ...], Callable]] = []
-        self._prefixes: list[str] = []
+        self.producers = Fib()
         self.dispatch_lock = threading.Lock()
         self._state = threading.Lock()
         self._pending: dict[str, set[_ServedConn]] = {}
@@ -103,11 +104,10 @@ class ContentServer:
         self._closing = False
 
     def attach_producer(self, prefix: str, handler: Callable) -> None:
-        self._producers.append((Name.from_text(prefix).components, handler))
-        self._prefixes.append(prefix)
+        self.producers.add(prefix, handler)
 
     def start(self) -> None:
-        if not self._prefixes:
+        if not len(self.producers):
             raise ProtocolError("a content server needs at least one producer")
         listener = socket.create_server((self.host, self.port))
         self.port = listener.getsockname()[1]
@@ -133,7 +133,7 @@ class ContentServer:
         with self._state:
             self.cs.clear()
 
-    def publish(self, content: ContentObject) -> int:
+    def satisfy(self, content: ContentObject) -> int:
         """Satisfy any interests held open for this exact name; returns how
         many connections were waiting."""
         with self._state:
@@ -163,8 +163,9 @@ class ContentServer:
             _shut(sock)
             return
         try:
-            for index, prefix in enumerate(self._prefixes):
-                last = index == len(self._prefixes) - 1
+            prefixes = self.producers.prefixes()
+            for index, prefix in enumerate(prefixes):
+                last = index == len(prefixes) - 1
                 if not conn.send(wire.announce_message(prefix, last)):
                     return
             while True:
@@ -186,22 +187,13 @@ class ContentServer:
             except OSError:
                 pass
 
-    def _find_producer(self, name: str) -> Optional[Callable]:
-        comps = Name.from_text(name).components
-        best = None
-        best_len = -1
-        for prefix, handler in self._producers:
-            if len(prefix) > best_len and comps[:len(prefix)] == prefix:
-                best, best_len = handler, len(prefix)
-        return best
-
     def _handle(self, conn: _ServedConn, interest: Interest) -> None:
         with self._state:
             cached = self.cs.get(interest.name, _now_ms())
         if cached is not None:
             conn.send(wire.content_message(cached))
             return
-        handler = self._find_producer(interest.name)
+        handler = self.producers.lookup(interest.name)
         if handler is None:
             return
         with self.dispatch_lock:
@@ -484,7 +476,10 @@ class SocketSubstrate:
             "validator": validator, "lifetime_ms": lifetime_ms,
             "retries": retries}], 1)
         if isinstance(result, Exception):
-            raise result
+            try:
+                raise result
+            finally:
+                result = None   # else error -> traceback -> frame -> error
         return result
 
     def get_many(self, requests: list[dict], window: int = 8) -> list:

@@ -21,6 +21,7 @@ import pytest
 import ogb.bloom as bloom
 from ogb import gtfs, trust
 from ogb.cluster import ClusterConfig, SimCluster
+from ogb.engine import Engine
 from ogb.errors import OgbError
 from ogb.frontend import Credentials, InsertHandler, QueryHandler, RangeQuery
 from ogb.grid import BoundingBox, TileId
@@ -527,7 +528,17 @@ def count_bodies(engine):
     return kinds
 
 
-def test_10_storage_once_and_dedup(tmp_path):
+def test_10_storage_once_and_dedup(tmp_path, monkeypatch):
+    data_fetches = [0]
+    named = Engine.handle_named_interest
+
+    def counting(engine, interest):
+        if "/DATA/" in interest.name:
+            data_fetches[0] += 1
+        return named(engine, interest)
+
+    # Producers are bound when the cluster is assembled, so wrap them first.
+    monkeypatch.setattr(Engine, "handle_named_interest", counting)
     config = sim_config(tmp_path, [{"id": "e1",
                                     "servedPrefixes": ["ndn:/OGB"]}],
                         bf_m=4096, bf_h=5)
@@ -546,15 +557,7 @@ def test_10_storage_once_and_dedup(tmp_path):
     kinds = count_bodies(engine)
     assert kinds == {"inline": 1, "reference": 4}
 
-    data_fetches = [0]
-    node = cluster.engine_nodes["e1"]
-    for slot, (prefix, producer) in enumerate(node.producers):
-        def counting(interest, _inner=producer):
-            if "/DATA/" in interest.name:
-                data_fetches[0] += 1
-            return _inner(interest)
-        node.producers[slot] = (prefix, counting)
-
+    data_fetches[0] = 0
     wide = qh.range_query(RangeQuery(
         BoundingBox.of(12.51, 41.89, 12.535, 41.8999), "intersect",
         "Foo", "S"))

@@ -244,8 +244,7 @@ def test_unvalidatable_items_are_dropped_and_counted():
     forged = make_ogb_data_set(parse_feature(rogue), 60000)[2]
     engine = cluster.engines["e1"]
     engine._put(forged.name.name.text, forged.to_wire())
-    engine.clear_response_caches()
-    cluster.network.flush_caches()
+    cluster.flush_caches()
 
     out = qh.range_query(rome_query())
     assert [f.oid for f in out.features] == ["1234"]

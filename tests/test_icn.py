@@ -15,6 +15,7 @@ from ogb.icn import (
     build_segments,
     segment_payloads,
 )
+from ogb.icn.sockets import ContentServer, SocketSubstrate
 from ogb.names import Name, split_segment
 
 
@@ -130,7 +131,7 @@ def test_cache_hit_skips_producer():
     assert b.payload == a.payload == b"answer"
     assert producer.counters["producerCalls"] == calls
     assert producer.counters["cacheHits"] == 1
-    net.flush_caches()
+    producer.clear_cache()
     sub.get("ndn:/OGB-SYS/svc/blob")
     assert producer.counters["producerCalls"] == 2 * calls
 
@@ -275,3 +276,47 @@ def test_announce_reaches_all_nodes():
     assert net.nodes["h"].fib.lookup("ndn:/OGB/5/5/55/GPS-ID/TILE/Foo/x") == "s2"
     assert net.nodes["s2"].fib.lookup("ndn:/OGB/5/5/GPS-ID") == "s1"
     assert net.nodes["s1"].fib.lookup("ndn:/OGB/5/5/GPS-ID") == "e1"
+
+
+def answering(payload):
+    def producer(interest):
+        base, seg = split_segment(Name.from_text(interest.name))
+        return build_segments(base, payload)[seg], 0.0
+    return producer
+
+
+def on_sim_node(attach):
+    net = SimNetwork()
+    consumer = net.add_node("consumer")
+    host = net.add_node("host")
+    net.connect("consumer", "host")
+    attach(host)
+    for prefix in host.producers.prefixes():
+        net.announce(prefix, "host")
+    return SimSubstrate(net, consumer).get, lambda: None
+
+
+def on_content_server(attach):
+    server = ContentServer()
+    attach(server)
+    server.start()
+    client = SocketSubstrate([server.address])
+    return client.get, lambda: (client.close(), server.stop())
+
+
+@pytest.mark.parametrize("host", [on_sim_node, on_content_server],
+                         ids=["SimNode", "ContentServer"])
+def test_hosts_pick_the_longest_attached_prefix(host):
+    def attach(node):
+        node.attach_producer("ndn:/svc", answering(b"short"))
+        node.attach_producer("ndn:/svc/deep", answering(b"long"))
+        with pytest.raises(ConfigError):
+            node.attach_producer("ndn:/svc/deep", answering(b"again"))
+
+    get, close = host(attach)
+    try:
+        assert get("ndn:/svc/deep/x").payload == b"long"
+        assert get("ndn:/svc/other").payload == b"short"
+        assert get("ndn:/svc/deeper").payload == b"short"   # by component
+    finally:
+        close()

@@ -1,9 +1,11 @@
+import gc
 import io
 import json
 import socket
 import sys
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -113,7 +115,7 @@ def test_publish_satisfies_held_interest():
         thread.start()
         time.sleep(0.05)
         content = build_segments("ndn:/topic/next", b"later", 1000.0)[0]
-        server.publish(content)
+        server.satisfy(content)
         thread.join(timeout=5.0)
         assert results["got"].payload == b"later"
         client.close()
@@ -467,7 +469,7 @@ def test_socket_bloom_server_rejects_forged_publications():
             # Pushed down the server's held subscription, as by an attacker,
             # once the server has re-expressed it after the last rejection.
             limit = time.monotonic() + 5.0
-            while (not cluster.servers["east"].publish(bad)
+            while (not cluster.servers["east"].satisfy(bad)
                    and time.monotonic() < limit):
                 time.sleep(0.01)
             while server.rejected < count and time.monotonic() < limit:
@@ -504,48 +506,102 @@ def test_stopped_socket_clusters_leave_no_threads():
     assert threading.active_count() <= baseline
 
 
-def test_socket_flush_caches_shows_a_later_insert():
-    cluster = SocketCluster(
-        ClusterConfig.from_dict(cluster_dict("socket", free_ports(4))))
-    cluster.start()
+def test_a_stopped_socket_cluster_is_freed_without_a_collection():
+    gc.disable()
     try:
+        cluster = SocketCluster(
+            ClusterConfig.from_dict(cluster_dict("socket", free_ports(4))))
+        cluster.start()
         kp, cert = cluster.issue_user("Foo", "Alice")
         substrate = cluster.substrate()
         qh, ih = handlers_for(substrate, cluster.anchor,
                               network_cert_fetcher(substrate),
                               Credentials("Foo", "Alice", kp, cert))
         assert ih.insert(WORLD[0]).all_accepted
+        await_bf_sync(cluster)
+        assert len(run_queries(qh, use_bf=True)[0]) == 1
+        substrate.close()
+        cluster.stop()
+        refs = [weakref.ref(cluster), weakref.ref(cluster.engines["east"])]
+        del cluster
+        # Server threads still unwinding hold their server a little longer.
+        limit = time.monotonic() + 2.0
+        while any(ref() is not None for ref in refs) and time.monotonic() < limit:
+            time.sleep(0.02)
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+def deploy(mode, storage):
+    """A cluster in `mode` on `storage`, Alice's handlers, and a closer."""
+    data = cluster_dict(mode, free_ports(4) if mode == "socket" else None)
+    data["storageDir"] = str(storage)
+    config = ClusterConfig.from_dict(data)
+    if mode == "sim":
+        cluster = SimCluster(config)
+        substrate, fetcher = cluster.substrate, cluster.cert_repo.get_wire
+        close = lambda: None
+    else:
+        cluster = SocketCluster(config)
+        cluster.start()
+        substrate = cluster.substrate()
+        fetcher = network_cert_fetcher(substrate)
+        close = lambda: (substrate.close(), cluster.stop())
+    kp, cert = cluster.issue_user("Foo", "Alice")
+    qh, ih = handlers_for(substrate, cluster.anchor, fetcher,
+                          Credentials("Foo", "Alice", kp, cert))
+    return cluster, qh, ih, close
+
+
+def check_flush_caches_shows_a_later_insert(mode, storage):
+    cluster, qh, ih, close = deploy(mode, storage)
+    try:
+        assert ih.insert(WORLD[0]).all_accepted
         assert len(run_queries(qh)[1]) == 1
         neighbour = dict(WORLD[0], properties=dict(WORLD[0]["properties"],
                                                    oid=77))
         assert ih.insert(neighbour).all_accepted
-        # The listing is still served from the engine server's store.
+        # The listing is still served from the engine host's content store.
         assert len(run_queries(qh)[1]) == 1
         cluster.flush_caches()
-        assert all(len(server.cs) == 0 for server in cluster._all_servers())
+        assert all(len(host.cs) == 0 for host in cluster.hosts)
         assert len(run_queries(qh)[1]) == 2
-        substrate.close()
+
+        assert cluster.status()["engines"]["east"]["processedQueries"] > 0
+        cluster.reset_counters()
+        assert cluster.status()["engines"]["east"]["processedQueries"] == 0
     finally:
-        cluster.stop()
+        close()
 
 
-def test_socket_snapshot_folds_the_log(tmp_path):
-    cluster = stored_socket_cluster(tmp_path / "storage")
+def check_snapshot_folds_the_log(mode, storage):
+    cluster, _, ih, close = deploy(mode, storage)
     try:
-        kp, cert = cluster.issue_user("Foo", "Alice")
-        substrate = cluster.substrate()
-        _, ih = handlers_for(substrate, cluster.anchor,
-                             network_cert_fetcher(substrate),
-                             Credentials("Foo", "Alice", kp, cert))
         assert ih.insert(WORLD[0]).all_accepted
         cluster.snapshot()
-        substrate.close()
     finally:
-        cluster.stop()
+        close()
 
-    cluster = stored_socket_cluster(tmp_path / "storage")
+    cluster, _, _, close = deploy(mode, storage)
     try:
         status = cluster.status()["engines"]["east"]
         assert (status["logRecords"], status["items"]) == (0, 3)
     finally:
-        cluster.stop()
+        close()
+
+
+def test_socket_flush_caches_shows_a_later_insert(tmp_path):
+    check_flush_caches_shows_a_later_insert("socket", tmp_path / "storage")
+
+
+def test_sim_flush_caches_shows_a_later_insert(tmp_path):
+    check_flush_caches_shows_a_later_insert("sim", tmp_path / "storage")
+
+
+def test_socket_snapshot_folds_the_log(tmp_path):
+    check_snapshot_folds_the_log("socket", tmp_path / "storage")
+
+
+def test_sim_snapshot_folds_the_log(tmp_path):
+    check_snapshot_folds_the_log("sim", tmp_path / "storage")
