@@ -13,6 +13,9 @@ engine and ORs them, so a tile
 that became void on one engine stays visible while another engine still holds
 data for it.  All processes hash the canonical tile-prefix string with the
 same fixed-seed family, which keeps bucket indices identical everywhere.
+`bucket_index_matrix` computes that same family for many keys at once, in
+numpy (a restart hashes each distinct prefix of the store that way); its
+rows equal `bucket_indexes` for any filter size.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import logging
 import math
 import threading
 import zlib
-from array import array
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -72,6 +74,37 @@ def bucket_indexes(key: str, m: int, h: int) -> list[int]:
     h1 = _fnv1a(data, _FNV_SEED_1)
     h2 = _fnv1a(data, _FNV_SEED_2) | 1
     return [(h1 + i * h2) % m for i in range(h)]
+
+
+def bucket_index_matrix(keys: Sequence[str], m: int, h: int) -> numpy.ndarray:
+    """`bucket_indexes` of every key, as the rows of one (keys, h) array.
+
+    Keys of one byte length are hashed together, one byte column at a time,
+    with both FNV-1a seeds side by side.  h1 and h2 are reduced mod m before
+    they are combined, and each index is the last one plus h2 mod m, so no
+    step overflows 64 bits and the rows are exact for any m.
+    """
+    data = [key.encode("utf-8") for key in keys]
+    pairs = numpy.empty((2, len(data)), dtype=numpy.uint64)
+    by_length: dict[int, list[int]] = {}
+    for row, raw in enumerate(data):
+        by_length.setdefault(len(raw), []).append(row)
+    seeds = numpy.array([[_FNV_SEED_1], [_FNV_SEED_2]], dtype=numpy.uint64)
+    for length, rows in by_length.items():
+        block = numpy.frombuffer(b"".join(data[row] for row in rows),
+                                 dtype=numpy.uint8).reshape(len(rows), length)
+        value = seeds.repeat(len(rows), axis=1)
+        for column in block.T:
+            value ^= column
+            value *= _FNV_PRIME
+        pairs[:, rows] = value
+    h1 = pairs[0] % m
+    h2 = (pairs[1] | 1) % m
+    out = numpy.empty((len(data), h), dtype=numpy.uint64)
+    for i in range(h):
+        out[:, i] = h1
+        h1 = (h1 + h2) % m
+    return out
 
 
 def theoretical_fpr(m: int, h: int, n: int) -> float:
@@ -140,7 +173,8 @@ class CountingBloomFilter:
     """Per-engine bucket counters over the same hash family as the global BF.
 
     insert/remove return the publications for every bucket that crossed
-    zero, stamped with this engine's id and a monotone sequence number.
+    zero, stamped with this engine's id and a monotone sequence number;
+    `replay` applies a whole history of them without any publication.
     """
 
     def __init__(self, m: int = DEFAULT_M, h: int = DEFAULT_H,
@@ -148,7 +182,8 @@ class CountingBloomFilter:
         self.m = m
         self.h = h
         self.engine_id = engine_id
-        self.counters = array("I", bytes(4 * m))
+        # Zeroed pages on demand, not an m-sized copy; items are Python ints.
+        self.counters = memoryview(numpy.zeros(m, dtype=numpy.uint32))
         self.seq = 0
 
     def _publish(self, index: int, direction: str) -> BfPublication:
@@ -174,6 +209,45 @@ class CountingBloomFilter:
             if self.counters[index] == 0:
                 pubs.append(self._publish(index, DOWN))
         return pubs
+
+    def replay(self, changes: Sequence[tuple[str, int]]) -> None:
+        """Apply ordered (key, +1 for insert | -1 for remove) changes exactly
+        as insert/remove would, counters and seq alike, but hash each
+        distinct key once and build no publication.  A remove below zero
+        raises StorageError and leaves the filter unchanged."""
+        if not changes:
+            return
+        rows: dict[str, int] = {}
+        key_rows = numpy.fromiter((rows.setdefault(key, len(rows))
+                                   for key, _ in changes),
+                                  dtype=numpy.intp, count=len(changes))
+        deltas = numpy.fromiter((delta for _, delta in changes),
+                                dtype=numpy.int64, count=len(changes))
+        # A key touches each of its distinct buckets once, as set() does.
+        buckets = numpy.sort(bucket_index_matrix(list(rows), self.m, self.h), axis=1)
+        distinct = numpy.ones(buckets.shape, dtype=bool)
+        distinct[:, 1:] = buckets[:, 1:] != buckets[:, :-1]
+        # One event per (change, bucket), grouped by bucket in change order.
+        keep = distinct[key_rows]
+        bucket = buckets[key_rows][keep]
+        delta = numpy.broadcast_to(deltas[:, None], keep.shape)[keep]
+        order = numpy.argsort(bucket, kind="stable")
+        bucket, delta = bucket[order], delta[order]
+        first = numpy.ones(len(bucket), dtype=bool)
+        first[1:] = bucket[1:] != bucket[:-1]
+        running = numpy.cumsum(delta)
+        group = numpy.cumsum(first) - 1
+        counts = numpy.frombuffer(self.counters, dtype=numpy.uint32)
+        after = (counts[bucket].astype(numpy.int64) + running
+                 - (running - delta)[first][group])
+        if (after < 0).any():
+            raise StorageError("the replayed changes remove a key that was "
+                               "never inserted")
+        last = numpy.ones(len(bucket), dtype=bool)
+        last[:-1] = first[1:]
+        counts[bucket[last]] = after[last]
+        # A transition is 0 -> 1 on an insert, or 1 -> 0 on a remove.
+        self.seq += int(numpy.count_nonzero(after == (delta > 0)))
 
     def contains(self, key: str) -> bool:
         return all(self.counters[i] > 0

@@ -105,7 +105,7 @@ def _open_substrate(config: ClusterConfig, keystore=None):
     """The consumer-side substrate plus a certificate fetcher and closer."""
     if config.mode == "sim":
         cluster = SimCluster(config, keystore=keystore)
-        return cluster.substrate, cluster.cert_repo.get_wire, (lambda: None)
+        return cluster.substrate, cluster.cert_repo.get_wire, cluster.stop
     substrate = SocketSubstrate(config.addresses())
     return substrate, network_cert_fetcher(substrate), substrate.close
 

@@ -4,8 +4,10 @@ and the deployments behind the CLI and the test suite.
 `_Cluster` assembles a deployment once for both transports: the keys and
 certificates, the engines, the Bloom filter server and the `FilterFeed` that
 keeps it in step with every engine, plus `issue_user`, `flush_caches`,
-`snapshot`, `reset_counters` and `status`.  A transport adds its hosts
-(`_host`) and the way a Bloom subscription waits (`_subscribe`).
+`snapshot`, `reset_counters`, `status` and `stop`.  A transport adds its
+hosts (`_host`), the way a Bloom subscription waits (`_subscribe`) and how
+it shuts down (`_close`).  A stopped cluster is freed as soon as its last
+user drops it, without waiting for a cyclic garbage collection.
 
 A simulated cluster is a star.  Engines, the Bloom filter server, and the
 certificate repository hang off one switch over unconstrained links; the
@@ -587,6 +589,13 @@ class _Cluster:
             report["bfServer"] = self.bloom_server.stats()
         return report
 
+    def stop(self) -> None:
+        """End the subscriptions and the hosts, and unhook every engine
+        from its host."""
+        self._close()
+        for engine in self.engines.values():
+            engine.publish_sink = None
+
 
 class SimCluster(_Cluster):
     """A full deployment on one event loop, addressed through `substrate`."""
@@ -633,6 +642,11 @@ class SimCluster(_Cluster):
             self._subscribe(engine_id)
 
         future.add_done_callback(deliver)
+
+    def _close(self) -> None:
+        # The pending subscriptions sit in the PITs, and their callbacks
+        # hold this cluster.
+        self.network.close()
 
     def reset_counters(self) -> None:
         super().reset_counters()
@@ -703,9 +717,9 @@ class SocketCluster(_Cluster):
                 return
             self.bf_feed.deliver(engine_id, seq, fetched)
 
-    def stop(self) -> None:
+    def _close(self) -> None:
         """Stop every server; their threads and the subscription threads
-        end with them, and no engine keeps a sink into a stopped server."""
+        end with them."""
         self._stopping = True
         if self.bf_feed is not None:
             self.bf_feed.substrate.close()
@@ -713,8 +727,6 @@ class SocketCluster(_Cluster):
             thread.join(timeout=2.0)
         for server in self.hosts:
             server.stop()
-        for engine in self.engines.values():
-            engine.publish_sink = None
 
     def substrate(self) -> SocketSubstrate:
         return SocketSubstrate(self.config.addresses())

@@ -24,7 +24,11 @@ engine answers queries byte-identically.
 A counting Bloom filter tracks per-bucket liveness of the engine's
 tile-prefixes; the bucket transitions of each bulk request become one signed
 publication (or a few, see `bloom.PUBLICATION_MAX`) for the global filter
-server.
+server.  A restart does not rebuild the filter item by item: replay records
+each stored and dropped item's tile-prefix in order, and the filter applies
+that history once (`CountingBloomFilter.replay`), hashing each distinct
+prefix once and building no publication.  Its counters and sequence number
+end exactly where one insert or remove per replayed item would leave them.
 
 Tile queries are authorized per interest (a bad signature is dropped without
 a response) and answered as signed segments.  A data name the engine serves
@@ -306,18 +310,20 @@ class Engine:
     def _sign(self, name_text: str, payload: bytes) -> trust.TrustEnvelope:
         return trust.sign_envelope(self.keypair, self.certificate, name_text, payload)
 
-    def _put(self, name_text: str, wire: bytes) -> list[bloom.BfPublication]:
+    def _put(self, name_text: str, wire: bytes) -> Optional[str]:
+        """Store an item; its tile-prefix if the name is new, None on an
+        upsert, which leaves the liveness counters unchanged."""
         if name_text in self.co_table:
-            # Upsert: replace content, liveness counters unchanged.
             self.co_table[name_text] = wire
-            return []
+            return None
         self.co_table[name_text] = wire
         prefix, level, key = _row_of(name_text)
         bisect.insort(self.tile_tables[level].setdefault(prefix, {}).setdefault(key, []),
                       name_text)
-        return self.cbf.insert(prefix)
+        return prefix
 
-    def _drop(self, name_text: str) -> list[bloom.BfPublication]:
+    def _drop(self, name_text: str) -> str:
+        """Remove a stored item; its tile-prefix."""
         del self.co_table[name_text]
         prefix, level, key = _row_of(name_text)
         rows = self.tile_tables[level][prefix]
@@ -327,7 +333,7 @@ class Engine:
             del rows[key]
             if not rows:
                 del self.tile_tables[level][prefix]
-        return self.cbf.remove(prefix)
+        return prefix
 
     def bulk_insert(self, items: list[OgbData]) -> list[ItemStatus]:
         statuses = []
@@ -345,7 +351,9 @@ class Engine:
                 statuses.append(ItemStatus(name_text, REJECTED, reason))
                 continue
             wire = item.to_wire()
-            pubs += self._put(name_text, wire)
+            prefix = self._put(name_text, wire)
+            if prefix is not None:
+                pubs += self.cbf.insert(prefix)
             accepted.append((name_text, wire))
             statuses.append(ItemStatus(name_text, ACCEPTED))
         if accepted:
@@ -377,7 +385,7 @@ class Engine:
             if name_text not in self.co_table:
                 statuses.append(ItemStatus(name_text, NOT_FOUND))
                 continue
-            pubs += self._drop(name_text)
+            pubs += self.cbf.remove(self._drop(name_text))
             deleted.append(name_text)
             statuses.append(ItemStatus(name_text, ACCEPTED))
         if deleted:
@@ -600,14 +608,19 @@ class Engine:
         tmp.replace(self._snapshot_path())
         self._log_path().write_bytes(b"")
 
-    def _replay(self, path: Path, seq: int, body: bytes) -> None:
+    def _replay(self, path: Path, seq: int, body: bytes,
+                changes: list[tuple[str, int]]) -> None:
+        """Apply one record to the tables; append its Bloom filter changes
+        to `changes` as (tile-prefix, +1 stored | -1 dropped)."""
         try:
             if body[:1] == _INSERT:
                 for name_text, wire in _insert_entries(body):
-                    self._put(name_text, wire)
+                    prefix = self._put(name_text, wire)
+                    if prefix is not None:
+                        changes.append((prefix, 1))
             elif body[:1] == _DELETE:
                 for name_text in bytes(body[1:]).decode("ascii").split("\n"):
-                    self._drop(name_text)
+                    changes.append((self._drop(name_text), -1))
             else:
                 raise ValueError("unknown record kind %r" % body[:1])
         except (ValueError, IndexError, KeyError, struct.error) as exc:
@@ -620,6 +633,7 @@ class Engine:
                 raise StorageError("%s is an engine store in the old line "
                                    "format, which is no longer read"
                                    % (self.storage_dir / old))
+        changes: list[tuple[str, int]] = []
         folded = 0
         snapshot = self._snapshot_path()
         if snapshot.exists():
@@ -628,12 +642,10 @@ class Engine:
             if len(records) != 1 or end != len(data):
                 raise StorageError("%s is not one complete record" % snapshot)
             folded, body = records[0]
-            self._replay(snapshot, folded, body)
+            self._replay(snapshot, folded, body, changes)
         self._log_seq = folded
         log_path = self._log_path()
-        if not log_path.exists():
-            return
-        data = log_path.read_bytes()
+        data = log_path.read_bytes() if log_path.exists() else b""
         records, end = read_frames(data, log_path)
         if end < len(data):
             # A torn append: cut it so the next record starts cleanly.
@@ -645,6 +657,7 @@ class Engine:
             if seq != self._log_seq + 1:
                 raise StorageError("%s: record %d follows record %d"
                                    % (log_path, seq, self._log_seq))
-            self._replay(log_path, seq, body)
+            self._replay(log_path, seq, body, changes)
             self._log_seq = seq
             self.log_records += 1
+        self.cbf.replay(changes)

@@ -285,7 +285,9 @@ class InsertHandler(_SubstrateClient):
 
     def __init__(self, substrate, trust_store, credentials: Credentials):
         super().__init__(substrate, trust_store, credentials)
-        self._addresses: list[tuple[tuple[str, ...], dict, float]] = []
+        # Served prefix -> (engine address, expiry); one entry per prefix.
+        self._addresses: dict[tuple[str, ...], tuple[dict, float]] = {}
+        self.resolutions = 0                 # IP-RES gets made
 
     def insert(self, feature: Union[GeoFeature, dict, bytes],
                freshness_ms: int = DEFAULT_FRESHNESS_MS) -> InsertReport:
@@ -313,20 +315,20 @@ class InsertHandler(_SubstrateClient):
         """The engine behind a tile, via one IP-RES GET per served prefix."""
         comps = routing_prefix(tile).components
         now = self.substrate.now_ms()
-        for prefix_comps, info, expiry in self._addresses:
+        for prefix_comps, (info, expiry) in self._addresses.items():
             if comps[:len(prefix_comps)] == prefix_comps and now < expiry:
                 return info
         result = self.substrate.get(IpResName(tile).name.text,
                                     validator=self._validate_segment)
+        self.resolutions += 1
         info = json.loads(result.payload.decode("utf-8"))
         expiry = now + result.segments[0].freshness_ms
-        self._addresses.append(
-            (Name.from_text(info["prefix"]).components, info, expiry))
+        self._addresses[Name.from_text(info["prefix"]).components] = (info, expiry)
         return info
 
     def _push(self, items: list[OgbData], op: str) -> InsertReport:
         groups: dict[str, list[OgbData]] = {}
-        resolutions_before = len(self._addresses)
+        resolutions_before = self.resolutions
         for item in items:
             info = self.resolve(item.name.tile)
             groups.setdefault(info["engineId"], []).append(item)
@@ -353,5 +355,5 @@ class InsertHandler(_SubstrateClient):
         return InsertReport(
             statuses=statuses,
             engines=sorted(groups),
-            resolutions=len(self._addresses) - resolutions_before,
+            resolutions=self.resolutions - resolutions_before,
         )

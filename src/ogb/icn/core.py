@@ -88,10 +88,12 @@ def build_segments(base, payload: bytes, freshness_ms: float = 0.0,
 
 
 class Fib:
-    """Longest-component-prefix forwarding table."""
+    """Longest-component-prefix forwarding table.  A lookup probes only the
+    prefix lengths that some route has, longest first."""
 
     def __init__(self):
         self._routes: dict[tuple[str, ...], object] = {}
+        self._lengths: list[int] = []        # of the routes, longest first
 
     def add(self, prefix: str, next_hop) -> None:
         key = Name.from_text(prefix).components
@@ -100,13 +102,17 @@ class Fib:
             raise ConfigError("conflicting routes for %s: %r vs %r"
                               % (prefix, existing, next_hop))
         self._routes[key] = next_hop
+        if len(key) not in self._lengths:
+            self._lengths.append(len(key))
+            self._lengths.sort(reverse=True)
 
     def lookup(self, name: str):
         comps = Name.from_text(name).components
-        for i in range(len(comps), 0, -1):
-            hop = self._routes.get(comps[:i])
-            if hop is not None:
-                return hop
+        for length in self._lengths:
+            if length <= len(comps):
+                hop = self._routes.get(comps[:length])
+                if hop is not None:
+                    return hop
         return None
 
     def prefixes(self) -> list[str]:

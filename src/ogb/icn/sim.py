@@ -81,6 +81,10 @@ class EventLoop:
         while self._heap and (limit_ms is None or self._heap[0][0] <= limit_ms):
             self._step()
 
+    def clear(self) -> None:
+        """Drop every scheduled event."""
+        self._heap.clear()
+
 
 class Future:
     """Single-assignment result used by asynchronous fetches."""
@@ -96,15 +100,19 @@ class Future:
             return
         self.done = True
         self.value = value
-        for fn in self._callbacks:
-            fn(self)
+        self._run_callbacks()
 
     def fail(self, error: Exception) -> None:
         if self.done:
             return
         self.done = True
         self.error = error
-        for fn in self._callbacks:
+        self._run_callbacks()
+
+    def _run_callbacks(self) -> None:
+        # Each runs once, so a settled future keeps none of them alive.
+        callbacks, self._callbacks = self._callbacks, []
+        for fn in callbacks:
             fn(self)
 
     def add_done_callback(self, fn) -> None:
@@ -302,6 +310,17 @@ class SimNetwork:
     def counters(self) -> dict[str, dict]:
         return {node_id: dict(node.counters) for node_id, node in self.nodes.items()}
 
+    def close(self) -> None:
+        """Drop every scheduled event and pending interest and unlink the
+        nodes, whose callbacks and back-references would otherwise keep
+        the network and everything they reach alive until a cyclic
+        collection."""
+        self.loop.clear()
+        for node in self.nodes.values():
+            node.pit = Pit()
+        self.nodes.clear()
+        self._adjacency.clear()
+
 
 class GetOperation:
     """Fetch one named object: segment 0 first, then the rest pipelined.
@@ -309,7 +328,10 @@ class GetOperation:
     Each segment interest may be individually signed (`sign` maps a name to
     an envelope); `validator` runs on every arriving segment and a raised
     ValidationError fails the whole fetch.  One retry per segment, then
-    timeout.
+    timeout.  The face every segment interest leaves in a PIT is the bound
+    method `_on_content`, equal across retries, so the operation holds no
+    reference to itself and is freed with the last PIT entry or event
+    holding it.
     """
 
     def __init__(self, node: SimNode, name: str, payload: bytes = b"",
@@ -331,7 +353,7 @@ class GetOperation:
         self._retries_left: dict[int, int] = {}
         self._retries = retries
         self._timeouts: dict[int, _Event] = {}
-        self._callbacks: dict[int, Callable] = {}
+        self._index_of: dict[str, int] = {}      # segment name -> index
 
     def start(self) -> Future:
         self._request(0)
@@ -346,15 +368,12 @@ class GetOperation:
     def _request(self, index: int) -> None:
         self._requested.add(index)
         self._retries_left.setdefault(index, self._retries)
-        if index not in self._callbacks:
-            def on_content(content, _index=index):
-                self._on_segment(_index, content)
-            self._callbacks[index] = on_content
         interest = self._segment_interest(index)
+        self._index_of[interest.name] = index
         if self.lifetime_ms is not None:
             self._timeouts[index] = self.node.loop.schedule(
                 self.lifetime_ms, self._on_timeout, index)
-        self.node.express(interest, self._callbacks[index])
+        self.node.express(interest, self._on_content)
 
     def _on_timeout(self, index: int) -> None:
         if self.future.done or index in self._segments:
@@ -366,15 +385,19 @@ class GetOperation:
         self._abort(TimeoutError_("timed out fetching %s segment %d"
                                   % (self.name, index)))
 
-    def _on_segment(self, index: int, content: Optional[ContentObject]) -> None:
-        if self.future.done or index in self._segments:
+    def _on_content(self, content: Optional[ContentObject]) -> None:
+        """A segment arrived, or None: an interest found no route."""
+        if self.future.done:
+            return
+        if content is None:
+            self._abort(NoRouteError("no route for %s" % self.name))
+            return
+        index = self._index_of[content.name]
+        if index in self._segments:
             return
         timeout = self._timeouts.pop(index, None)
         if timeout is not None:
             timeout.cancel()
-        if content is None:
-            self._abort(NoRouteError("no route for %s" % self.name))
-            return
         if self.validator is not None:
             try:
                 self.validator(content)
@@ -459,4 +482,5 @@ class SimSubstrate:
         done = lambda: state["pending"] == 0 and state["next"] == len(requests)
         if not self.loop.run_until(done):
             raise TimeoutError_("network went idle during a batched fetch")
+        launch = None        # it refers to itself through `finish`: end the cycle
         return results

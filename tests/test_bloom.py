@@ -12,6 +12,7 @@ from ogb.bloom import (
     DEFAULT_M,
     BloomServer,
     CountingBloomFilter,
+    bucket_index_matrix,
     bucket_indexes,
     decode_digest,
     encode_digest,
@@ -30,6 +31,71 @@ def test_bucket_indexes_are_frozen():
     ]
     assert bucket_indexes(PREFIX, 1 << 20, 7) == bucket_indexes(PREFIX, 1 << 20, 7)
     assert bucket_indexes(PREFIX + "x", 1 << 20, 7) != bucket_indexes(PREFIX, 1 << 20, 7)
+
+
+def prefix_keys(rng, count):
+    """Tile-prefix keys of levels 0-2 with negative and three-digit anchors,
+    so of many byte lengths, plus one key that is not ASCII."""
+    keys = []
+    for _ in range(count):
+        digits = ["%d%d" % (rng.randrange(10), rng.randrange(10))
+                  for _ in range(rng.randrange(3))]
+        keys.append("ndn:/OGB/%s/GPS-ID" % "/".join(
+            ["%d" % rng.randint(-180, 179), "%d" % rng.randint(-90, 89)] + digits))
+    return keys + ["ndn:/OGB/12/41/Città/GPS-ID"]
+
+
+@pytest.mark.parametrize("m", [DEFAULT_M, 1_000_003, 97])
+def test_batch_hash_equals_bucket_indexes(m):
+    keys = prefix_keys(random.Random(11), 1200)
+    assert len({len(key.encode()) for key in keys}) >= 8
+    rows = bucket_index_matrix(keys, m, 7)
+    assert rows.shape == (len(keys), 7)
+    assert rows.tolist() == [bucket_indexes(key, m, 7) for key in keys]
+
+
+def per_item(cbf, changes):
+    """Reference: each change as the insert or remove it stands for."""
+    for key, delta in changes:
+        if delta > 0:
+            cbf.insert(key)
+        else:
+            cbf.remove(key)
+
+
+@pytest.mark.parametrize("m", [DEFAULT_M, 4096, 61])
+def test_replay_equals_per_item_inserts_and_removes(m):
+    rng = random.Random(m)
+    pool = prefix_keys(rng, 40)
+    changes, stored = [], []
+    for _ in range(2000):
+        if stored and rng.random() < 0.45:
+            changes.append((stored.pop(rng.randrange(len(stored))), -1))
+        else:
+            key = rng.choice(pool)
+            stored.append(key)
+            changes.append((key, 1))
+    changes += [(key, -1) for key in stored]      # every prefix emptied
+    for cut in (0, 700, len(changes)):
+        batched = CountingBloomFilter(m=m, h=7, engine_id="e1")
+        reference = CountingBloomFilter(m=m, h=7, engine_id="e1")
+        per_item(batched, changes[:cut // 2])     # a filter already in use
+        per_item(reference, changes[:cut])
+        batched.replay(changes[cut // 2:cut])
+        assert batched.counters == reference.counters
+        assert batched.seq == reference.seq
+        assert batched.bitmap() == reference.bitmap()
+        key = pool[0]
+        assert batched.insert(key) == reference.insert(key)
+
+
+def test_replay_of_a_remove_below_zero_changes_nothing():
+    cbf = CountingBloomFilter(m=4096, h=7, engine_id="e1")
+    cbf.insert(PREFIX)
+    before = (bytes(cbf.counters), cbf.seq)
+    with pytest.raises(StorageError):
+        cbf.replay([(PREFIX, -1), ("ndn:/OGB/0/0/GPS-ID", -1)])
+    assert (bytes(cbf.counters), cbf.seq) == before
 
 
 def test_publication_name():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import shutil
 from pathlib import Path
 
 import pytest
@@ -387,6 +388,108 @@ def assert_same_state(a, b):
     assert a.co_table == b.co_table
     assert a.tile_tables == b.tile_tables
     assert a.cbf.counters == b.cbf.counters
+
+
+ALICE = trust.user_identity("Foo", "Alice")
+
+
+def seeded_history(eng, keyring, rng):
+    """Bulk inserts at a few shared spots, upserts, removes that empty
+    prefixes, re-inserts, and a snapshot midway."""
+    spots = [[12.501 + 0.02 * i, 41.891 + 0.01 * (i % 2)] for i in range(4)]
+    stored, removed = {}, {}
+    for step in range(24):
+        if step == 12:
+            eng.snapshot()
+        roll = rng.random()
+        if roll < 0.4 or not stored:
+            oid = 100 * step
+            batch = {oid + i: shop(oid + i, rng.choice(spots))
+                     for i in range(rng.randint(1, 3))}
+        elif roll < 0.5:
+            batch = {oid: stored[oid] for oid in rng.sample(sorted(stored), 1)}
+        elif roll < 0.6 and removed:
+            batch = {oid: removed.pop(oid) for oid in rng.sample(sorted(removed), 1)}
+        else:
+            spot = rng.choice([f["geometry"]["coordinates"] for f in stored.values()])
+            gone = [oid for oid, f in stored.items()
+                    if f["geometry"]["coordinates"] == spot]
+            names = [it.name.name.text for oid in gone
+                     for it in signed_items(stored[oid], keyring)]
+            assert all(s.status == ACCEPTED for s in eng.bulk_delete(names, ALICE))
+            removed.update((oid, stored.pop(oid)) for oid in gone)
+            continue
+        items = [it for f in batch.values() for it in signed_items(f, keyring)]
+        assert all(s.status == ACCEPTED for s in eng.bulk_insert(items))
+        stored.update(batch)
+    stored[9999] = shop(9999, spots[0])
+    eng.bulk_insert(signed_items(stored[9999], keyring))
+    return stored
+
+
+def per_item_replay(cbf, changes):
+    """The reference restart: one counting-filter insert or remove per
+    replayed item."""
+    for prefix, delta in changes:
+        if delta > 0:
+            cbf.insert(prefix)
+        else:
+            cbf.remove(prefix)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_restart_rebuilds_the_filter_as_the_per_item_replay(keyring, tmp_path,
+                                                            monkeypatch, seed):
+    live = make_engine(keyring, storage_dir=tmp_path / "live", bf_m=61)
+    stored = seeded_history(live, keyring, random.Random(seed))
+    for copy in ("batched", "reference"):
+        shutil.copytree(tmp_path / "live", tmp_path / copy)
+    batched = make_engine(keyring, storage_dir=tmp_path / "batched", bf_m=61)
+    with monkeypatch.context() as patch:
+        patch.setattr(bloom.CountingBloomFilter, "replay", per_item_replay)
+        reference = make_engine(keyring, storage_dir=tmp_path / "reference",
+                                bf_m=61)
+    assert reference.log_records > 0 and (tmp_path / "live" / SNAPSHOT_FILE).exists()
+
+    # The counts are those of the live engine; its seq is not, since the
+    # snapshot folded transitions that a restart does not repeat.
+    assert_same_state(live, reference)
+    assert_same_state(batched, reference)
+    assert batched.cbf.seq == reference.cbf.seq
+    assert batched.cbf.bitmap() == reference.cbf.bitmap() == live.cbf.bitmap()
+    assert batched.digest_payload() == reference.digest_payload()
+
+    names = [it.name.name.text for f in stored.values()
+             for it in signed_items(f, keyring)]
+    publications = []
+    for eng in (reference, batched):
+        # The next live publication: every stored item removed.
+        first = eng.cbf.seq
+        eng.bulk_delete(names, ALICE)
+        publications.append([c.payload for seq in sorted(eng.bf_log)
+                             if seq >= first for c in eng.bf_log[seq]])
+    assert publications[0] and publications[1] == publications[0]
+
+
+def test_restart_hashes_each_distinct_prefix_once(keyring, tmp_path, monkeypatch):
+    live = make_engine(keyring, storage_dir=tmp_path / "e1", bf_m=61)
+    seeded_history(live, keyring, random.Random(4))
+    built, hashed, per_key = [], [], []
+    publication = bloom.BfPublication
+    batch_hash = bloom.bucket_index_matrix
+    fnv1a = bloom._fnv1a
+    monkeypatch.setattr(bloom, "BfPublication",
+                        lambda *a: built.append(a) or publication(*a))
+    monkeypatch.setattr(bloom, "bucket_index_matrix",
+                        lambda keys, m, h: hashed.extend(keys) or batch_hash(keys, m, h))
+    monkeypatch.setattr(bloom, "_fnv1a",
+                        lambda data, seed: per_key.append(data) or fnv1a(data, seed))
+    reborn = make_engine(keyring, storage_dir=tmp_path / "e1", bf_m=61)
+    assert_same_state(reborn, live)
+    assert built == [] and per_key == []
+    assert len(hashed) == len(set(hashed))
+    held = {prefix for table in live.tile_tables for prefix in table}
+    assert held and held <= set(hashed)
 
 
 def test_one_log_record_per_bulk_request(keyring, starbucks, tmp_path):

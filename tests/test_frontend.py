@@ -98,6 +98,20 @@ def test_address_cache_saves_resolutions():
     assert report.resolutions == 0
 
 
+def test_an_expired_address_is_replaced_not_kept():
+    cluster = world_cluster(engines=[{"id": "e1", "servedPrefixes": ["ndn:/OGB"],
+                                      "ipresFreshnessMs": 50}])
+    _, ih = handlers(cluster)
+    assert ih.insert(starbucks_dict()).resolutions == 1
+    cluster.substrate.advance(100)               # past the address's expiry
+    second = starbucks_dict()
+    second["properties"]["oid"] = 77
+    report = ih.insert(second)
+    assert report.all_accepted
+    assert report.resolutions == 1
+    assert len(ih._addresses) == 1
+
+
 def test_bf_reduction_is_transparent():
     cluster = world_cluster()
     qh, ih = handlers(cluster)

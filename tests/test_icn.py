@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from ogb.errors import ConfigError, NoRouteError, TimeoutError_, ValidationError
+from ogb.errors import (ConfigError, NameParseError, NoRouteError, TimeoutError_,
+                        ValidationError)
 from ogb.icn import (
     ContentObject,
     ContentStore,
@@ -53,6 +54,22 @@ def test_fib_longest_prefix():
     fib.add("ndn:/OGB/12/41", "coarse")                 # same hop is idempotent
     with pytest.raises(ConfigError):
         fib.add("ndn:/OGB/12/41", "other")
+
+
+def test_fib_probes_only_route_lengths_and_keeps_longest_match():
+    fib = Fib()
+    fib.add("ndn:/OGB/12/41/51/89", "deepest")
+    fib.add("ndn:/OGB", "root")
+    fib.add("ndn:/OGB/12/41", "mid")
+    assert fib.lookup("ndn:/OGB/12/41/51/89/GPS-ID/seg=0") == "deepest"
+    assert fib.lookup("ndn:/OGB/12/41/51/88") == "mid"
+    # Names shorter than the longest route.
+    assert fib.lookup("ndn:/OGB/12/41/51") == "mid"
+    assert fib.lookup("ndn:/OGB/12") == "root"
+    assert fib.lookup("ndn:/OGB") == "root"
+    assert fib.lookup("ndn:/Other/12/41") is None
+    with pytest.raises(NameParseError):
+        fib.lookup("not a name")
 
 
 def test_pit_aggregation_and_renewal():

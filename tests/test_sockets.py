@@ -506,29 +506,26 @@ def test_stopped_socket_clusters_leave_no_threads():
     assert threading.active_count() <= baseline
 
 
-def test_a_stopped_socket_cluster_is_freed_without_a_collection():
+@pytest.mark.parametrize("mode", ["sim", "socket"])
+def test_a_stopped_cluster_is_freed_without_a_collection(mode, tmp_path):
     gc.disable()
     try:
-        cluster = SocketCluster(
-            ClusterConfig.from_dict(cluster_dict("socket", free_ports(4))))
-        cluster.start()
-        kp, cert = cluster.issue_user("Foo", "Alice")
-        substrate = cluster.substrate()
-        qh, ih = handlers_for(substrate, cluster.anchor,
-                              network_cert_fetcher(substrate),
-                              Credentials("Foo", "Alice", kp, cert))
+        cluster, qh, ih, close = deploy(mode, tmp_path / "storage")
         assert ih.insert(WORLD[0]).all_accepted
+        if mode == "sim":
+            cluster.network.loop.run_until_idle()
         await_bf_sync(cluster)
         assert len(run_queries(qh, use_bf=True)[0]) == 1
-        substrate.close()
-        cluster.stop()
+        close()
         refs = [weakref.ref(cluster), weakref.ref(cluster.engines["east"])]
-        del cluster
+        if mode == "sim":
+            refs.append(weakref.ref(cluster.network))
+        del cluster, qh, ih, close
         # Server threads still unwinding hold their server a little longer.
         limit = time.monotonic() + 2.0
         while any(ref() is not None for ref in refs) and time.monotonic() < limit:
             time.sleep(0.02)
-        assert [ref() for ref in refs] == [None, None]
+        assert [ref() for ref in refs] == [None] * len(refs)
     finally:
         gc.enable()
 
@@ -541,7 +538,7 @@ def deploy(mode, storage):
     if mode == "sim":
         cluster = SimCluster(config)
         substrate, fetcher = cluster.substrate, cluster.cert_repo.get_wire
-        close = lambda: None
+        close = cluster.stop
     else:
         cluster = SocketCluster(config)
         cluster.start()
