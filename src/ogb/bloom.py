@@ -249,6 +249,11 @@ class CountingBloomFilter:
         # A transition is 0 -> 1 on an insert, or 1 -> 0 on a remove.
         self.seq += int(numpy.count_nonzero(after == (delta > 0)))
 
+    def live_buckets(self) -> int:
+        """How many counters are above zero."""
+        counts = numpy.frombuffer(self.counters, dtype=numpy.uint32)
+        return int(numpy.count_nonzero(counts))
+
     def contains(self, key: str) -> bool:
         return all(self.counters[i] > 0
                    for i in bucket_indexes(key, self.m, self.h))

@@ -15,9 +15,12 @@ the offset of its name inside them) or its deleted names.  A snapshot is one
 record of the same framing holding every item; its sequence number is the
 last log record it folded, and replay skips any log record at or below it,
 so a crash between writing the snapshot and emptying the log loses and
-repeats nothing.  A torn last record is cut on restart; a corrupt complete
-record raises `StorageError`, and so does a store in the old line-per-item
-format (`log.jsonl`, `snapshot.json`), which this engine does not read.
+repeats nothing.  A second record keeps the Bloom filter's seq: the
+transitions the snapshot folded away, which a restart adds to those it
+replays.  A snapshot without it still loads, its seq counted from its
+items.  A torn last record is cut on restart; a corrupt complete record
+raises `StorageError`, and so does a store in the old line-per-item format
+(`log.jsonl`, `snapshot.json`), which this engine does not read.
 Restart indexes the stored bytes without decoding them, so a restarted
 engine answers queries byte-identically.
 
@@ -27,8 +30,9 @@ publication (or a few, see `bloom.PUBLICATION_MAX`) for the global filter
 server.  A restart does not rebuild the filter item by item: replay records
 each stored and dropped item's tile-prefix in order, and the filter applies
 that history once (`CountingBloomFilter.replay`), hashing each distinct
-prefix once and building no publication.  Its counters and sequence number
-end exactly where one insert or remove per replayed item would leave them.
+prefix once and building no publication.  Its counters end exactly where
+one insert or remove per replayed item would leave them, and its sequence
+number where the live engine left it.
 
 Tile queries are authorized per interest (a bad signature is dropped without
 a response) and answered as signed segments.  A data name the engine serves
@@ -95,6 +99,10 @@ _HEADER_SIZE = _HEAD.size + _CRC.size
 _ITEM = struct.Struct("<II")
 _INSERT = b"I"
 _DELETE = b"D"
+# A snapshot's second record: how many Bloom filter transitions it folded
+# away, the filter's seq less the buckets its items hold.
+_FOLDED = struct.Struct("<cQ")
+_SEQ = b"S"
 _NAME_KEY = b',"name":"'
 _MARKER = "/" + names.GRID_MARKER
 _ROW_SPLIT = "%s/%s/" % (_MARKER, names.DATA_MARKER)
@@ -603,8 +611,9 @@ class Engine:
         if self.storage_dir is None:
             return
         body = _insert_body((name, self.co_table[name]) for name in sorted(self.co_table))
+        seq = _FOLDED.pack(_SEQ, self.cbf.seq - self.cbf.live_buckets())
         tmp = self._snapshot_path().with_suffix(".tmp")
-        tmp.write_bytes(_frame(self._log_seq, body))
+        tmp.write_bytes(_frame(self._log_seq, body) + _frame(self._log_seq, seq))
         tmp.replace(self._snapshot_path())
         self._log_path().write_bytes(b"")
 
@@ -634,15 +643,21 @@ class Engine:
                                    "format, which is no longer read"
                                    % (self.storage_dir / old))
         changes: list[tuple[str, int]] = []
-        folded = 0
+        folded = folded_away = 0
         snapshot = self._snapshot_path()
         if snapshot.exists():
             data = snapshot.read_bytes()
             records, end = read_frames(data, snapshot)
-            if len(records) != 1 or end != len(data):
-                raise StorageError("%s is not one complete record" % snapshot)
+            if len(records) not in (1, 2) or end != len(data):
+                raise StorageError("%s is not one complete snapshot" % snapshot)
             folded, body = records[0]
             self._replay(snapshot, folded, body, changes)
+            if len(records) == 2:
+                tail = bytes(records[1][1])
+                if len(tail) != _FOLDED.size or tail[:1] != _SEQ:
+                    raise StorageError("%s: its second record is not a filter "
+                                       "seq" % snapshot)
+                folded_away = _FOLDED.unpack(tail)[1]
         self._log_seq = folded
         log_path = self._log_path()
         data = log_path.read_bytes() if log_path.exists() else b""
@@ -661,3 +676,6 @@ class Engine:
             self._log_seq = seq
             self.log_records += 1
         self.cbf.replay(changes)
+        # Replaying the snapshot's items counts one transition per bucket
+        # they hold; the filter goes on from the seq it had.
+        self.cbf.seq += folded_away

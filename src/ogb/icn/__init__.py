@@ -4,13 +4,14 @@ from .core import (
     ContentObject,
     ContentStore,
     Fib,
+    Future,
     Interest,
     Pit,
     FetchResult,
     build_segments,
     segment_payloads,
 )
-from .sim import EventLoop, Future, SimNetwork, SimNode, SimSubstrate
+from .sim import EventLoop, SimNetwork, SimNode, SimSubstrate
 
 __all__ = [
     "ContentObject",

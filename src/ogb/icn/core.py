@@ -5,15 +5,24 @@ prefix, a PIT aggregates outstanding requests and routes contents back, and
 a content store caches fresh contents.  Large payloads travel as fixed-size
 segments under `<name>/seg=<i>`; every segment carries the final segment
 index so a consumer can pipeline the rest after segment 0.
+
+The consumer is written once, here, for both transports: `GetOperation`
+fetches one object and `fetch_many` keeps a window of them in flight.  A
+transport supplies only its clock, as an event loop, and how an interest
+leaves the host, as `express` (plus `withdraw` where an interest can be
+taken back): the simulator its network's virtual-time loop and a node's
+`express`, the socket client a wall-clock loop per call.  Each segment
+interest is retried once, each attempt waiting its lifetime, on either
+transport.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
-from ..errors import ConfigError
+from ..errors import ConfigError, NoRouteError, TimeoutError_, ValidationError
 from ..names import Name, segment_name
 from ..trust import TrustEnvelope
 
@@ -21,6 +30,9 @@ from ..trust import TrustEnvelope
 INTEREST_OVERHEAD_BYTES = 64
 DEFAULT_LIFETIME_MS = 4000.0
 SEGMENT_SIZE = 8000
+# A PIT sweeps its expired entries when it reaches this size, or twice its
+# size after the last sweep if that is larger.
+PIT_SWEEP_MIN = 64
 
 
 def segment_payloads(payload: bytes) -> list[bytes]:
@@ -135,14 +147,24 @@ class Pit:
     `add` returns True when the interest must be forwarded (new entry, or an
     expired one being renewed) and False when it was aggregated onto an
     in-flight request.
+
+    An expired entry stays until it is renewed or consumed, or until `add`
+    sweeps: once the table has doubled since the last sweep, adding a new
+    name drops every expired entry first.  Entries without an expiry (held
+    subscriptions) are never swept.  Nothing is scheduled per interest.
     """
 
     def __init__(self):
         self._entries: dict[str, PitEntry] = {}
+        self._sweep_at = PIT_SWEEP_MIN
 
     def add(self, name: str, face, expiry: Optional[float], now: float) -> bool:
         entry = self._entries.get(name)
         if entry is None:
+            if len(self._entries) >= self._sweep_at:
+                self._entries = {key: e for key, e in self._entries.items()
+                                 if e.expiry is None or now < e.expiry}
+                self._sweep_at = max(PIT_SWEEP_MIN, 2 * len(self._entries))
             self._entries[name] = PitEntry([face], expiry)
             return True
         if face not in entry.faces:
@@ -164,6 +186,14 @@ class Pit:
             return []
         del self._entries[name]
         return entry.faces
+
+    def drop_face(self, face) -> None:
+        """Remove `face` from every entry, and each entry it leaves empty."""
+        for name, entry in list(self._entries.items()):
+            if face in entry.faces:
+                entry.faces.remove(face)
+                if not entry.faces:
+                    del self._entries[name]
 
     def pending(self, name: str) -> bool:
         return name in self._entries
@@ -203,3 +233,201 @@ class ContentStore:
 
     def __len__(self):
         return len(self._items)
+
+
+class Future:
+    """Single-assignment result used by asynchronous fetches."""
+
+    def __init__(self):
+        self.done = False
+        self.value = None
+        self.error: Optional[Exception] = None
+        self._callbacks: list = []
+
+    def resolve(self, value) -> None:
+        self._settle(value, None)
+
+    def fail(self, error: Exception) -> None:
+        self._settle(None, error)
+
+    def _settle(self, value, error: Optional[Exception]) -> None:
+        if self.done:
+            return
+        self.done = True
+        self.value, self.error = value, error
+        # Each runs once, so a settled future keeps none of them alive.
+        callbacks, self._callbacks = self._callbacks, []
+        for fn in callbacks:
+            fn(self)
+
+    def add_done_callback(self, fn) -> None:
+        if self.done:
+            fn(self)
+        else:
+            self._callbacks.append(fn)
+
+    def result(self):
+        if not self.done:
+            raise RuntimeError("future is not resolved")
+        if self.error is not None:
+            raise self.error
+        return self.value
+
+
+class GetOperation:
+    """Fetch one named object: segment 0 first, then the rest pipelined.
+
+    `express(interest, on_content)` sends an interest out of the host; its
+    reply, or None when the interest found no route, comes back as
+    `on_content(content)` run by `loop`.  `withdraw(name, on_content)`, when
+    given, takes back each interest still pending once the fetch fails.
+
+    Each segment interest may be individually signed (`sign` maps a name to
+    an envelope); `validator` runs on every arriving segment and a raised
+    ValidationError fails the whole fetch.  One retry per segment, then
+    timeout.  The `on_content` every segment interest leaves behind is the
+    bound method `_on_content`, equal across retries, so the operation holds
+    no reference to itself and is freed with the last PIT entry, waiter or
+    event holding it.
+    """
+
+    def __init__(self, express: Callable, withdraw: Optional[Callable], loop,
+                 name: str, payload: bytes = b"",
+                 sign: Optional[Callable] = None,
+                 validator: Optional[Callable[[ContentObject], None]] = None,
+                 lifetime_ms: Optional[float] = DEFAULT_LIFETIME_MS,
+                 retries: int = 1):
+        self.express = express
+        self.withdraw = withdraw
+        self.loop = loop
+        self.base = Name.from_text(name)
+        self.name = name
+        self.payload = payload
+        self.sign = sign
+        self.validator = validator
+        self.lifetime_ms = lifetime_ms
+        self.future = Future()
+        self._segments: dict[int, ContentObject] = {}
+        self._final: Optional[int] = None
+        self._retries_left: dict[int, int] = {}  # of each requested index
+        self._retries = retries
+        self._timeouts: dict = {}                 # index -> timeout event
+        self._index_of: dict[str, int] = {}      # segment name -> index
+
+    def start(self) -> Future:
+        self._request(0)
+        return self.future
+
+    def _request(self, index: int) -> None:
+        self._retries_left.setdefault(index, self._retries)
+        seg = segment_name(self.base, index).text
+        payload = self.payload if index == 0 else b""
+        envelope = self.sign(seg, payload) if self.sign else None
+        self._index_of[seg] = index
+        if self.lifetime_ms is not None:
+            self._timeouts[index] = self.loop.schedule(
+                self.lifetime_ms, self._on_timeout, index)
+        self.express(Interest(seg, payload, envelope, self.lifetime_ms),
+                     self._on_content)
+
+    def _on_timeout(self, index: int) -> None:
+        if self.future.done or index in self._segments:
+            return
+        if self._retries_left.get(index, 0) > 0:
+            self._retries_left[index] -= 1
+            self._request(index)
+            return
+        self._abort(TimeoutError_("timed out fetching %s segment %d"
+                                  % (self.name, index)))
+
+    def _on_content(self, content: Optional[ContentObject]) -> None:
+        """A segment arrived, or None: an interest found no route."""
+        if self.future.done:
+            return
+        if content is None:
+            self._abort(NoRouteError("no route for %s" % self.name))
+            return
+        index = self._index_of[content.name]
+        if index in self._segments:
+            return
+        timeout = self._timeouts.pop(index, None)
+        if timeout is not None:
+            timeout.cancel()
+        if self.validator is not None:
+            try:
+                self.validator(content)
+            except ValidationError as exc:
+                self._abort(exc)
+                return
+        self._segments[index] = content
+        if content.final_segment is not None:
+            self._final = content.final_segment
+        if self._final is None:
+            self._abort(ValidationError("integrity",
+                                        "segment %d of %s lacks a final segment index"
+                                        % (index, self.name)))
+            return
+        for i in range(self._final + 1):
+            if i not in self._retries_left:
+                self._request(i)
+        if len(self._segments) == self._final + 1:
+            ordered = [self._segments[i] for i in range(self._final + 1)]
+            payload = b"".join(c.payload for c in ordered)
+            self.future.resolve(FetchResult(self.name, payload, ordered))
+
+    def _abort(self, error: Exception) -> None:
+        for timeout in self._timeouts.values():
+            timeout.cancel()
+        self._timeouts.clear()
+        if self.withdraw is not None:
+            for name, index in self._index_of.items():
+                if index not in self._segments:
+                    self.withdraw(name, self._on_content)
+        self.future.fail(error)
+
+
+def fetch_many(express: Callable, withdraw: Optional[Callable], loop,
+               requests: list[dict], window: int) -> list:
+    """Fetch several objects with at most `window` in flight; returns a
+    FetchResult or an Exception per request, in order.  Each request is the
+    keyword arguments of one `GetOperation`."""
+    results: list = [None] * len(requests)
+    state = {"next": 0, "pending": 0}
+    window = max(1, window)
+
+    def launch() -> None:
+        while state["next"] < len(requests) and state["pending"] < window:
+            idx = state["next"]
+            state["next"] += 1
+            state["pending"] += 1
+            future = GetOperation(express, withdraw, loop,
+                                  **requests[idx]).start()
+
+            def finish(fut, _idx=idx):
+                results[_idx] = fut.error if fut.error is not None else fut.value
+                state["pending"] -= 1
+                launch()
+
+            future.add_done_callback(finish)
+
+    launch()
+    done = lambda: state["pending"] == 0 and state["next"] == len(requests)
+    if not loop.run_until(done):
+        raise TimeoutError_("network went idle during a fetch")
+    launch = None        # it refers to itself through `finish`: end the cycle
+    return results
+
+
+def fetch(express: Callable, withdraw: Optional[Callable], loop,
+          name: str, **kwargs) -> FetchResult:
+    """Fetch one object; raises the error that failed it."""
+    future = GetOperation(express, withdraw, loop, name, **kwargs).start()
+    if not loop.run_until(lambda: future.done):
+        raise TimeoutError_("network went idle while fetching %s" % name)
+    if future.error is None:
+        return future.value
+    error, future = future.error, None
+    try:
+        raise error
+    finally:
+        error = None    # else error -> traceback -> frame -> error

@@ -4,7 +4,8 @@ Virtual time is in milliseconds.  Links serialize transmissions per
 direction at a configured bandwidth; producer and handler processing cost is
 modeled explicitly (producers return a delay, consumers call
 `EventLoop.advance`).  The whole network runs single-threaded, so runs are
-deterministic for a fixed input sequence.
+deterministic for a fixed input sequence.  `SimSubstrate` runs the shared
+consumer (`core.fetch_many`) on the network's loop through a node's `express`.
 """
 
 from __future__ import annotations
@@ -14,16 +15,18 @@ import heapq
 from collections import Counter, deque
 from typing import Callable, Optional
 
-from ..errors import ConfigError, NoRouteError, TimeoutError_, ValidationError
-from ..names import Name, segment_name
+from ..errors import ConfigError
 from .core import (
-    DEFAULT_LIFETIME_MS,
     ContentObject,
     ContentStore,
     FetchResult,
     Fib,
+    Future,
+    GetOperation,
     Interest,
     Pit,
+    fetch,
+    fetch_many,
 )
 
 
@@ -84,49 +87,6 @@ class EventLoop:
     def clear(self) -> None:
         """Drop every scheduled event."""
         self._heap.clear()
-
-
-class Future:
-    """Single-assignment result used by asynchronous fetches."""
-
-    def __init__(self):
-        self.done = False
-        self.value = None
-        self.error: Optional[Exception] = None
-        self._callbacks: list = []
-
-    def resolve(self, value) -> None:
-        if self.done:
-            return
-        self.done = True
-        self.value = value
-        self._run_callbacks()
-
-    def fail(self, error: Exception) -> None:
-        if self.done:
-            return
-        self.done = True
-        self.error = error
-        self._run_callbacks()
-
-    def _run_callbacks(self) -> None:
-        # Each runs once, so a settled future keeps none of them alive.
-        callbacks, self._callbacks = self._callbacks, []
-        for fn in callbacks:
-            fn(self)
-
-    def add_done_callback(self, fn) -> None:
-        if self.done:
-            fn(self)
-        else:
-            self._callbacks.append(fn)
-
-    def result(self):
-        if not self.done:
-            raise RuntimeError("future is not resolved")
-        if self.error is not None:
-            raise self.error
-        return self.value
 
 
 class SimLink:
@@ -322,111 +282,6 @@ class SimNetwork:
         self._adjacency.clear()
 
 
-class GetOperation:
-    """Fetch one named object: segment 0 first, then the rest pipelined.
-
-    Each segment interest may be individually signed (`sign` maps a name to
-    an envelope); `validator` runs on every arriving segment and a raised
-    ValidationError fails the whole fetch.  One retry per segment, then
-    timeout.  The face every segment interest leaves in a PIT is the bound
-    method `_on_content`, equal across retries, so the operation holds no
-    reference to itself and is freed with the last PIT entry or event
-    holding it.
-    """
-
-    def __init__(self, node: SimNode, name: str, payload: bytes = b"",
-                 sign: Optional[Callable] = None,
-                 validator: Optional[Callable[[ContentObject], None]] = None,
-                 lifetime_ms: Optional[float] = DEFAULT_LIFETIME_MS,
-                 retries: int = 1):
-        self.node = node
-        self.base = Name.from_text(name)
-        self.name = name
-        self.payload = payload
-        self.sign = sign
-        self.validator = validator
-        self.lifetime_ms = lifetime_ms
-        self.future = Future()
-        self._segments: dict[int, ContentObject] = {}
-        self._final: Optional[int] = None
-        self._requested: set[int] = set()
-        self._retries_left: dict[int, int] = {}
-        self._retries = retries
-        self._timeouts: dict[int, _Event] = {}
-        self._index_of: dict[str, int] = {}      # segment name -> index
-
-    def start(self) -> Future:
-        self._request(0)
-        return self.future
-
-    def _segment_interest(self, index: int) -> Interest:
-        seg = segment_name(self.base, index).text
-        payload = self.payload if index == 0 else b""
-        envelope = self.sign(seg, payload) if self.sign else None
-        return Interest(seg, payload, envelope, self.lifetime_ms)
-
-    def _request(self, index: int) -> None:
-        self._requested.add(index)
-        self._retries_left.setdefault(index, self._retries)
-        interest = self._segment_interest(index)
-        self._index_of[interest.name] = index
-        if self.lifetime_ms is not None:
-            self._timeouts[index] = self.node.loop.schedule(
-                self.lifetime_ms, self._on_timeout, index)
-        self.node.express(interest, self._on_content)
-
-    def _on_timeout(self, index: int) -> None:
-        if self.future.done or index in self._segments:
-            return
-        if self._retries_left.get(index, 0) > 0:
-            self._retries_left[index] -= 1
-            self._request(index)
-            return
-        self._abort(TimeoutError_("timed out fetching %s segment %d"
-                                  % (self.name, index)))
-
-    def _on_content(self, content: Optional[ContentObject]) -> None:
-        """A segment arrived, or None: an interest found no route."""
-        if self.future.done:
-            return
-        if content is None:
-            self._abort(NoRouteError("no route for %s" % self.name))
-            return
-        index = self._index_of[content.name]
-        if index in self._segments:
-            return
-        timeout = self._timeouts.pop(index, None)
-        if timeout is not None:
-            timeout.cancel()
-        if self.validator is not None:
-            try:
-                self.validator(content)
-            except ValidationError as exc:
-                self._abort(exc)
-                return
-        self._segments[index] = content
-        if content.final_segment is not None:
-            self._final = content.final_segment
-        if self._final is None:
-            self._abort(ValidationError("integrity",
-                                        "segment %d of %s lacks a final segment index"
-                                        % (index, self.name)))
-            return
-        for i in range(self._final + 1):
-            if i not in self._requested:
-                self._request(i)
-        if len(self._segments) == self._final + 1:
-            ordered = [self._segments[i] for i in range(self._final + 1)]
-            payload = b"".join(c.payload for c in ordered)
-            self.future.resolve(FetchResult(self.name, payload, ordered))
-
-    def _abort(self, error: Exception) -> None:
-        for timeout in self._timeouts.values():
-            timeout.cancel()
-        self._timeouts.clear()
-        self.future.fail(error)
-
-
 class SimSubstrate:
     """Consumer-side facade over one node of the simulated network."""
 
@@ -441,46 +296,14 @@ class SimSubstrate:
     def advance(self, delay_ms: float) -> None:
         self.loop.advance(delay_ms)
 
-    def get_async(self, name: str, payload: bytes = b"",
-                  sign: Optional[Callable] = None,
-                  validator: Optional[Callable] = None,
-                  lifetime_ms: Optional[float] = DEFAULT_LIFETIME_MS,
-                  retries: int = 1) -> Future:
-        op = GetOperation(self.node, name, payload, sign, validator,
-                          lifetime_ms, retries)
-        return op.start()
+    def get_async(self, name: str, **kwargs) -> Future:
+        return GetOperation(self.node.express, None, self.loop, name,
+                            **kwargs).start()
 
     def get(self, name: str, **kwargs) -> FetchResult:
-        future = self.get_async(name, **kwargs)
-        if not self.loop.run_until(lambda: future.done):
-            raise TimeoutError_("network went idle while fetching %s" % name)
-        return future.result()
+        return fetch(self.node.express, None, self.loop, name, **kwargs)
 
     def get_many(self, requests: list[dict], window: int = 8) -> list:
         """Fetch several objects with at most `window` in flight; returns a
         FetchResult or an Exception per request, in order."""
-        results: list = [None] * len(requests)
-        state = {"next": 0, "pending": 0}
-
-        def launch() -> None:
-            while state["next"] < len(requests) and state["pending"] < window:
-                idx = state["next"]
-                state["next"] += 1
-                state["pending"] += 1
-                request = dict(requests[idx])
-                name = request.pop("name")
-                future = self.get_async(name, **request)
-
-                def finish(fut, _idx=idx):
-                    results[_idx] = fut.error if fut.error is not None else fut.value
-                    state["pending"] -= 1
-                    launch()
-
-                future.add_done_callback(finish)
-
-        launch()
-        done = lambda: state["pending"] == 0 and state["next"] == len(requests)
-        if not self.loop.run_until(done):
-            raise TimeoutError_("network went idle during a batched fetch")
-        launch = None        # it refers to itself through `finish`: end the cycle
-        return results
+        return fetch_many(self.node.express, None, self.loop, requests, window)

@@ -4,19 +4,18 @@ A ContentServer keeps its producers in a longest-prefix `Fib`, announces
 their prefixes to every client on connect, and answers interests from its
 content store or producers.  A producer may hold an interest; `satisfy`
 pushes the reply later, as on a simulated node (solicited only: a pending
-interest must exist).  Producers run one at a time under the server's
+interest must exist).  Held interests wait in a `core.Pit` whose faces are
+connections, so one expires after its lifetime and a closed connection
+leaves none behind.  Producers run one at a time under the server's
 dispatch lock, because engine handlers are not thread-safe.  The delay a
 producer returns is the simulator's modeled processing time; it is not
 slept here.
 
-The SocketSubstrate mirrors the simulated substrate's surface (get,
-get_many, now_ms) so the frontend runs unchanged over real sockets.  It
-keeps one connection per server, whose reader thread routes each reply by
-name to the fetch waiting on it.  A fetch asks for segment 0, then for
-segments 1..final at once.  `get_many` keeps up to `window` fetches in
-flight from the calling thread, and sends a segment's interest again when
-no reply comes within its lifetime, doubling the lifetime on each of
-SOCKET_RETRIES attempts.
+The SocketSubstrate runs the shared consumer (`core.fetch_many`,
+with its one retry per segment) on a wall-clock event loop of its own per
+call, so the frontend runs unchanged over real sockets.  It keeps one
+connection per server, whose reader thread hands each reply by name to
+the inbox of every call waiting on it.
 
 Every connection sets TCP_NODELAY: pipelined interests and back-to-back
 replies would otherwise wait for the peer's delayed ACK (Nagle's
@@ -32,19 +31,17 @@ import random
 import socket
 import threading
 import time
-from collections import deque
+from functools import partial
 from typing import Callable, Optional
 
-from ..errors import (NoRouteError, ProtocolError, TimeoutError_,
-                      ValidationError)
-from ..names import Name, segment_name
+from ..errors import ProtocolError
 from . import wire
-from .core import (DEFAULT_LIFETIME_MS, ContentObject, ContentStore,
-                   FetchResult, Fib, Interest)
+from .core import (ContentObject, ContentStore, FetchResult, Fib, Interest,
+                   Pit, fetch, fetch_many)
+from .sim import EventLoop
 
 log = logging.getLogger(__name__)
 
-SOCKET_RETRIES = 3
 CONNECT_TIMEOUT_S = 5.0
 
 
@@ -70,6 +67,8 @@ def _shut(sock) -> None:
 
 
 class _ServedConn:
+    """One connection's socket and the lock its writers share."""
+
     def __init__(self, sock):
         self.sock = sock
         self.write_lock = threading.Lock()
@@ -98,7 +97,7 @@ class ContentServer:
         self.producers = Fib()
         self.dispatch_lock = threading.Lock()
         self._state = threading.Lock()
-        self._pending: dict[str, set[_ServedConn]] = {}
+        self._pending = Pit()        # held interests; faces are connections
         self._conns: set[_ServedConn] = set()
         self._listener: Optional[socket.socket] = None
         self._closing = False
@@ -121,7 +120,7 @@ class ContentServer:
         with self._state:
             conns = list(self._conns)
             self._conns.clear()
-            self._pending.clear()
+            self._pending = Pit()
         for conn in conns:
             _shut(conn.sock)
 
@@ -137,7 +136,7 @@ class ContentServer:
         """Satisfy any interests held open for this exact name; returns how
         many connections were waiting."""
         with self._state:
-            waiting = self._pending.pop(content.name, set())
+            waiting = self._pending.consume(content.name)
         message = wire.content_message(content)
         for conn in waiting:
             conn.send(message)
@@ -180,8 +179,7 @@ class ContentServer:
         finally:
             with self._state:
                 self._conns.discard(conn)
-                for waiting in self._pending.values():
-                    waiting.discard(conn)
+                self._pending.drop_face(conn)
             try:
                 sock.close()
             except OSError:
@@ -199,8 +197,11 @@ class ContentServer:
         with self.dispatch_lock:
             result = handler(interest)
             if result is None:
+                now = _now_ms()
+                expiry = (None if interest.lifetime_ms is None
+                          else now + interest.lifetime_ms)
                 with self._state:
-                    self._pending.setdefault(interest.name, set()).add(conn)
+                    self._pending.add(interest.name, conn, expiry, now)
                 return
             content = result[0]
             with self._state:
@@ -208,22 +209,29 @@ class ContentServer:
         conn.send(wire.content_message(content))
 
 
-class _Peer:
+class _Peer(_ServedConn):
+    """One client connection.  A waiter is a (call loop, on_content) pair:
+    the reply to its name, or None once the connection closes, goes to that
+    loop's inbox."""
+
     def __init__(self, sock, address):
-        self.sock = sock
+        super().__init__(sock)
         self.address = address
-        self.write_lock = threading.Lock()
         self.state = threading.Lock()
-        self.waiters: dict[str, list[queue.Queue]] = {}
+        self.waiters: dict[str, list[tuple]] = {}
         self.closed = False
 
-    def add_waiter(self, name: str, waiter: queue.Queue) -> None:
+    def add_waiter(self, name: str, waiter: tuple) -> bool:
+        """False if the connection is closed."""
         with self.state:
             if self.closed:
-                raise NoRouteError("connection to %s:%d is closed" % self.address)
-            self.waiters.setdefault(name, []).append(waiter)
+                return False
+            pending = self.waiters.setdefault(name, [])
+            if waiter not in pending:           # a retry's is already there
+                pending.append(waiter)
+        return True
 
-    def drop_waiter(self, name: str, waiter: queue.Queue) -> None:
+    def drop_waiter(self, name: str, waiter: tuple) -> None:
         with self.state:
             pending = self.waiters.get(name, [])
             if waiter in pending:
@@ -231,131 +239,58 @@ class _Peer:
             if not pending:
                 self.waiters.pop(name, None)
 
-    def satisfy(self, name: str, value) -> None:
+    def satisfy(self, name: str, content: Optional[ContentObject]) -> None:
         with self.state:
             pending = self.waiters.pop(name, [])
-        for waiter in pending:
-            waiter.put(value)
+        for loop, on_content in pending:
+            loop.inbox.put((on_content, content))
 
     def close(self) -> None:
         with self.state:
             if self.closed:
                 return
             self.closed = True
-            pending = list(self.waiters.values())
-            self.waiters.clear()
-        error = NoRouteError("connection to %s:%d is closed" % self.address)
-        for waiters in pending:
-            for waiter in waiters:
-                waiter.put(error)
+            names = list(self.waiters)
+        for name in names:
+            self.satisfy(name, None)
         _shut(self.sock)
 
 
-class _Segment:
-    """One segment interest of a fetch, and the waiter its reply goes to."""
+class _CallLoop(EventLoop):
+    """The event loop of one socket call, on the wall clock.
 
-    def __init__(self, fetch: "_Fetch", index: int):
-        self.fetch = fetch
-        self.index = index
-        self.text = segment_name(fetch.base, index).text
-        payload = fetch.payload if index == 0 else b""
-        envelope = fetch.sign(self.text, payload) if fetch.sign else None
-        self.interest = Interest(self.text, payload, envelope, fetch.lifetime_ms)
-        self.attempt = 0
-        self.deadline: Optional[float] = None
+    Reader threads put (on_content, content) pairs into its inbox;
+    `run_until` runs them, and the timers as they fall due, on the calling
+    thread, so a call's fetches share no state with any other call's.
+    """
 
-    def put(self, value) -> None:
-        """Takes the reply, or the error that closed the connection."""
-        self.fetch.events.put((self, value))
+    def __init__(self):
+        super().__init__()
+        self.inbox: queue.SimpleQueue = queue.SimpleQueue()
 
+    def schedule(self, delay_ms: float, fn, *args):
+        self.now = _now_ms()
+        return super().schedule(delay_ms, fn, *args)
 
-class _Fetch:
-    """One named object in flight: segment 0, then segments 1..final at once.
-    `result` is set, to a FetchResult or an Exception, once it is over."""
-
-    def __init__(self, slot: int, peer: _Peer, events: queue.Queue, send,
-                 name: str, payload: bytes = b"", sign=None, validator=None,
-                 lifetime_ms: Optional[float] = DEFAULT_LIFETIME_MS,
-                 retries: int = SOCKET_RETRIES):
-        self.slot = slot
-        self.peer = peer
-        self.events = events
-        self.send = send
-        self.name = name
-        self.base = Name.from_text(name)
-        self.payload = payload
-        self.sign = sign
-        self.validator = validator
-        self.lifetime_ms = lifetime_ms
-        self.retries = retries
-        self.segments: dict[int, ContentObject] = {}
-        self.waiting: dict[int, _Segment] = {}
-        self.final: Optional[int] = None
-        self.result = None
-        self.request(_Segment(self, 0))
-
-    def request(self, seg: _Segment) -> None:
-        self.waiting[seg.index] = seg
+    def run_until(self, predicate: Callable[[], bool]) -> bool:
+        """Run until the predicate holds, then drop every timer and unread
+        reply: the call is over, and they would tie its operations and this
+        loop in a reference cycle."""
         try:
-            self.peer.add_waiter(seg.text, seg)
-        except NoRouteError as exc:
-            self.finish(exc)
-            return
-        if not self.send(self.peer, seg.interest):
-            self.finish(NoRouteError("connection to %s:%d is closed"
-                                     % self.peer.address))
-            return
-        if self.lifetime_ms is not None:
-            seg.deadline = (time.monotonic()
-                            + self.lifetime_ms / 1000.0 * 2 ** seg.attempt)
-
-    def on_timeout(self, seg: _Segment) -> None:
-        self.peer.drop_waiter(seg.text, seg)
-        if seg.attempt >= self.retries:
-            self.finish(TimeoutError_("timed out fetching %s after %d attempts"
-                                      % (seg.text, self.retries + 1)))
-            return
-        seg.attempt += 1
-        self.request(seg)
-
-    def on_reply(self, seg: _Segment, value) -> None:
-        if self.result is not None or self.waiting.get(seg.index) is not seg:
-            return                      # late: the fetch or segment is over
-        del self.waiting[seg.index]
-        self.peer.drop_waiter(seg.text, seg)    # a retry's, if still held
-        if isinstance(value, Exception):
-            self.finish(value)
-            return
-        try:
-            if self.validator is not None:
-                self.validator(value)
-        except Exception as exc:
-            self.finish(exc)
-            return
-        if value.final_segment is not None:
-            self.final = value.final_segment
-        if self.final is None:
-            self.finish(ValidationError(
-                "integrity", "segment %d of %s lacks a final segment index"
-                % (seg.index, self.name)))
-            return
-        self.segments[seg.index] = value
-        for index in range(self.final + 1):
-            if index not in self.segments and index not in self.waiting:
-                self.request(_Segment(self, index))
-                if self.result is not None:
-                    return
-        if not self.waiting:
-            ordered = [self.segments[i] for i in range(self.final + 1)]
-            self.finish(FetchResult(self.name,
-                                    b"".join(c.payload for c in ordered),
-                                    ordered))
-
-    def finish(self, result) -> None:
-        self.result = result
-        for seg in self.waiting.values():
-            self.peer.drop_waiter(seg.text, seg)
-        self.waiting.clear()
+            while not predicate():
+                wait = None
+                if self._heap:
+                    wait = max(0.0, self._heap[0][0] - _now_ms()) / 1000.0
+                try:
+                    fn, value = self.inbox.get(timeout=wait)
+                except queue.Empty:
+                    self._step()
+                else:
+                    fn(value)
+            return True
+        finally:
+            self.clear()
+            self.inbox = queue.SimpleQueue()
 
 
 class SocketSubstrate:
@@ -412,77 +347,29 @@ class SocketSubstrate:
     def now_ms(self) -> float:
         return _now_ms()
 
-    def _send(self, peer: _Peer, interest: Interest) -> bool:
-        message = wire.interest_message(interest, self._rng.getrandbits(63))
-        try:
-            with peer.write_lock:
-                wire.write_frame(peer.sock, message)
-            return True
-        except OSError:
-            return False
+    def _express(self, loop: _CallLoop, interest: Interest, on_content) -> None:
+        """Send an interest to the server its name routes to.  No route, a
+        closed connection or a failed send answers it with None."""
+        peer = self.fib.lookup(interest.name)
+        nonce = self._rng.getrandbits(63)
+        if (peer is None or not peer.add_waiter(interest.name, (loop, on_content))
+                or not peer.send(wire.interest_message(interest, nonce))):
+            loop.inbox.put((on_content, None))
 
-    def _begin(self, slot: int, request: dict, events: queue.Queue) -> _Fetch:
-        peer = self.fib.lookup(request["name"])
-        if peer is None:
-            raise NoRouteError("no route for %s" % request["name"])
-        return _Fetch(slot, peer, events, self._send, **request)
+    def _withdraw(self, loop: _CallLoop, name: str, on_content) -> None:
+        peer = self.fib.lookup(name)
+        if peer is not None:
+            peer.drop_waiter(name, (loop, on_content))
 
-    def _fetch_all(self, requests: list[dict], window: int) -> list:
-        results: list = [None] * len(requests)
-        events: queue.Queue = queue.Queue()
-        todo = deque(enumerate(requests))
-        active: list[_Fetch] = []
-        try:
-            while todo or active:
-                while todo and len(active) < window:
-                    slot, request = todo.popleft()
-                    try:
-                        active.append(self._begin(slot, request, events))
-                    except Exception as exc:
-                        results[slot] = exc
-                for fetch in active:
-                    if fetch.result is not None:
-                        results[fetch.slot] = fetch.result
-                active = [f for f in active if f.result is None]
-                if not active:
-                    continue
-                deadlines = [seg.deadline for fetch in active
-                             for seg in fetch.waiting.values()
-                             if seg.deadline is not None]
-                timeout = (max(0.0, min(deadlines) - time.monotonic())
-                           if deadlines else None)
-                try:
-                    seg, value = events.get(timeout=timeout)
-                except queue.Empty:
-                    pass
-                else:
-                    seg.fetch.on_reply(seg, value)
-                now = time.monotonic()
-                for fetch in active:
-                    for seg in list(fetch.waiting.values()):
-                        if (fetch.result is None and seg.deadline is not None
-                                and seg.deadline <= now):
-                            fetch.on_timeout(seg)
-        finally:
-            for fetch in active:        # left by an error: release waiters
-                fetch.finish(fetch.result)
-        return results
+    def _call(self) -> tuple:
+        """express, withdraw and a fresh loop for one call."""
+        loop = _CallLoop()
+        return partial(self._express, loop), partial(self._withdraw, loop), loop
 
-    def get(self, name: str, payload: bytes = b"", sign=None, validator=None,
-            lifetime_ms: Optional[float] = DEFAULT_LIFETIME_MS,
-            retries: int = SOCKET_RETRIES) -> FetchResult:
-        [result] = self._fetch_all([{
-            "name": name, "payload": payload, "sign": sign,
-            "validator": validator, "lifetime_ms": lifetime_ms,
-            "retries": retries}], 1)
-        if isinstance(result, Exception):
-            try:
-                raise result
-            finally:
-                result = None   # else error -> traceback -> frame -> error
-        return result
+    def get(self, name: str, **kwargs) -> FetchResult:
+        return fetch(*self._call(), name, **kwargs)
 
     def get_many(self, requests: list[dict], window: int = 8) -> list:
         """Fetch several objects with at most `window` in flight; returns a
         FetchResult or an Exception per request, in order."""
-        return self._fetch_all(requests, max(1, window))
+        return fetch_many(*self._call(), requests, window)

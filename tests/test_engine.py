@@ -374,8 +374,9 @@ def test_snapshot_folds_log(keyring, starbucks, tmp_path):
     eng.bulk_insert(signed_items(starbucks, keyring))
     eng.snapshot()
     assert (tmp_path / "e1" / LOG_FILE).read_bytes() == b""
-    (folded, _), = log_records(tmp_path / "e1" / SNAPSHOT_FILE)
-    assert folded == 1
+    # The items, then the Bloom filter's seq, both under the folded seq.
+    (folded, _), (also, _) = log_records(tmp_path / "e1" / SNAPSHOT_FILE)
+    assert folded == also == 1
     eng.bulk_insert(signed_items(shop(88), keyring))
     assert [seq for seq, _ in log_records(tmp_path / "e1" / LOG_FILE)] == [2]
 
@@ -451,11 +452,11 @@ def test_restart_rebuilds_the_filter_as_the_per_item_replay(keyring, tmp_path,
                                 bf_m=61)
     assert reference.log_records > 0 and (tmp_path / "live" / SNAPSHOT_FILE).exists()
 
-    # The counts are those of the live engine; its seq is not, since the
-    # snapshot folded transitions that a restart does not repeat.
+    # The counts and the seq are those of the live engine: the snapshot
+    # keeps the seq of the transitions it folded.
     assert_same_state(live, reference)
     assert_same_state(batched, reference)
-    assert batched.cbf.seq == reference.cbf.seq
+    assert batched.cbf.seq == reference.cbf.seq == live.cbf.seq
     assert batched.cbf.bitmap() == reference.cbf.bitmap() == live.cbf.bitmap()
     assert batched.digest_payload() == reference.digest_payload()
 
@@ -469,6 +470,27 @@ def test_restart_rebuilds_the_filter_as_the_per_item_replay(keyring, tmp_path,
         publications.append([c.payload for seq in sorted(eng.bf_log)
                              if seq >= first for c in eng.bf_log[seq]])
     assert publications[0] and publications[1] == publications[0]
+
+
+def test_a_snapshot_without_the_filter_seq_loads_as_before(keyring, tmp_path,
+                                                           monkeypatch):
+    live = make_engine(keyring, storage_dir=tmp_path / "live", bf_m=61)
+    seeded_history(live, keyring, random.Random(1))
+    path = tmp_path / "live" / SNAPSHOT_FILE
+    data = path.read_bytes()
+    # The earlier format: the items record alone.
+    _, first_end = read_frames(data[:-1], path)
+    path.write_bytes(data[:first_end])
+    shutil.copytree(tmp_path / "live", tmp_path / "reference")
+    reborn = make_engine(keyring, storage_dir=tmp_path / "live", bf_m=61)
+    with monkeypatch.context() as patch:
+        patch.setattr(bloom.CountingBloomFilter, "replay", per_item_replay)
+        reference = make_engine(keyring, storage_dir=tmp_path / "reference",
+                                bf_m=61)
+    assert reborn.log_records > 0
+    assert_same_state(reborn, live)
+    # Its seq is counted from the surviving items and the log, as before.
+    assert reborn.cbf.seq == reference.cbf.seq < live.cbf.seq
 
 
 def test_restart_hashes_each_distinct_prefix_once(keyring, tmp_path, monkeypatch):

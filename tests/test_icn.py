@@ -16,6 +16,7 @@ from ogb.icn import (
     build_segments,
     segment_payloads,
 )
+from ogb.icn.core import PIT_SWEEP_MIN
 from ogb.icn.sockets import ContentServer, SocketSubstrate
 from ogb.names import Name, split_segment
 
@@ -131,15 +132,6 @@ def chunked_producer(payload, freshness_ms=60000.0, delay_ms=0.0):
     return handler
 
 
-def test_get_reassembles_segments():
-    payload = bytes(range(256)) * 80          # 20480 bytes -> 3 segments
-    net, sub, producer = line_network(chunked_producer(payload))
-    result = sub.get("ndn:/OGB-SYS/svc/blob")
-    assert result.payload == payload
-    assert len(result.segments) == 3
-    assert producer.counters["producerCalls"] == 3
-
-
 def test_cache_hit_skips_producer():
     net, sub, producer = line_network(chunked_producer(b"answer"))
     a = sub.get("ndn:/OGB-SYS/svc/blob")
@@ -210,16 +202,6 @@ def test_timeout_after_retry():
     assert net.loop.now == pytest.approx(20.0)
 
 
-def test_validator_rejects_segment():
-    def validator(content):
-        raise ValidationError("integrity", "bad segment %s" % content.name)
-
-    net, sub, _ = line_network(chunked_producer(b"data"))
-    with pytest.raises(ValidationError) as err:
-        sub.get("ndn:/OGB-SYS/svc/x", validator=validator)
-    assert err.value.reason == "integrity"
-
-
 def test_pit_hold_until_publish():
     held = []
 
@@ -245,29 +227,6 @@ def test_publish_before_subscribe_lands_in_cache():
     assert producer.counters["publishedUnconsumed"] == 1
     result = sub.get("ndn:/OGB-SYS/svc/updates/0")
     assert result.payload == b"early"
-
-
-def test_get_many_window_and_errors():
-    def handler(interest):
-        base, index = split_segment(Name.from_text(interest.name))
-        tail = base.components[-1]
-        return build_segments(base, ("got %s" % tail).encode(), 0.0)[index], 1.0
-
-    net = SimNetwork()
-    consumer = net.add_node("consumer")
-    producer = net.add_node("producer")
-    net.connect("consumer", "producer")
-    producer.attach_producer("ndn:/OGB-SYS/svc", handler)
-    net.announce("ndn:/OGB-SYS/svc", "producer")
-    sub = SimSubstrate(net, consumer)
-
-    requests = [{"name": "ndn:/OGB-SYS/svc/item/%d" % i} for i in range(9)]
-    requests.insert(4, {"name": "ndn:/OGB-SYS/other/unroutable"})
-    results = sub.get_many(requests, window=3)
-    assert len(results) == 10
-    assert isinstance(results[4], NoRouteError)
-    for i, result in enumerate(r for j, r in enumerate(results) if j != 4):
-        assert result.payload == ("got %d" % i).encode()
 
 
 def test_announce_conflict():
@@ -303,6 +262,9 @@ def answering(payload):
 
 
 def on_sim_node(attach):
+    """A consumer node linked to a host node that `attach` gives producers:
+    the consumer's substrate, the names it still waits on (its live PIT
+    entries), and a closer."""
     net = SimNetwork()
     consumer = net.add_node("consumer")
     host = net.add_node("host")
@@ -310,15 +272,23 @@ def on_sim_node(attach):
     attach(host)
     for prefix in host.producers.prefixes():
         net.announce(prefix, "host")
-    return SimSubstrate(net, consumer).get, lambda: None
+
+    def waiting():
+        return [name for name, entry in consumer.pit._entries.items()
+                if entry.expiry is None or net.loop.now < entry.expiry]
+
+    return SimSubstrate(net, consumer), waiting, lambda: None
 
 
 def on_content_server(attach):
+    """The same over a loopback ContentServer; the names waited on are the
+    waiters left on the client's connection."""
     server = ContentServer()
     attach(server)
     server.start()
     client = SocketSubstrate([server.address])
-    return client.get, lambda: (client.close(), server.stop())
+    waiting = lambda: [name for peer in client._peers for name in peer.waiters]
+    return client, waiting, lambda: (client.close(), server.stop())
 
 
 @pytest.mark.parametrize("host", [on_sim_node, on_content_server],
@@ -330,10 +300,128 @@ def test_hosts_pick_the_longest_attached_prefix(host):
         with pytest.raises(ConfigError):
             node.attach_producer("ndn:/svc/deep", answering(b"again"))
 
-    get, close = host(attach)
+    substrate, _, close = host(attach)
     try:
-        assert get("ndn:/svc/deep/x").payload == b"long"
-        assert get("ndn:/svc/other").payload == b"short"
-        assert get("ndn:/svc/deeper").payload == b"short"   # by component
+        assert substrate.get("ndn:/svc/deep/x").payload == b"long"
+        assert substrate.get("ndn:/svc/other").payload == b"short"
+        assert substrate.get("ndn:/svc/deeper").payload == b"short"   # by component
     finally:
         close()
+
+
+# -- the fetch contract, the same on both transports ----------------------------
+
+@pytest.fixture(params=[on_sim_node, on_content_server], ids=["sim", "socket"])
+def consumer_of(request):
+    """consumer_of(producer) -> (substrate, waiting) with `producer` serving
+    ndn:/svc on the other side of the transport."""
+    closers = []
+
+    def build(producer):
+        substrate, waiting, close = request.param(
+            lambda host: host.attach_producer("ndn:/svc", producer))
+        closers.append(close)
+        return substrate, waiting
+
+    yield build
+    for close in closers:
+        close()
+
+
+def recording(calls, body=lambda base: b"ok", held=()):
+    """Answers each segment of `body(base name)` and records every interest's
+    name; holds (never answers) the calls whose 1-based ordinal is in
+    `held`, and every call for a name under ndn:/svc/held."""
+    def producer(interest):
+        calls.append(interest.name)
+        base, seg = split_segment(Name.from_text(interest.name))
+        if len(calls) in held or base.text.startswith("ndn:/svc/held"):
+            return None
+        return build_segments(base, body(base))[seg], 0.0
+    return producer
+
+
+def test_fetch_reassembles_segments(consumer_of):
+    payload = bytes(range(256)) * 80          # 20480 bytes -> 3 segments
+    calls = []
+    substrate, waiting = consumer_of(recording(calls, lambda base: payload))
+    result = substrate.get("ndn:/svc/blob")
+    assert result.payload == payload
+    assert len(result.segments) == 3
+    assert len(calls) == 3
+    assert waiting() == []
+
+
+def test_fetch_retries_a_dropped_reply(consumer_of):
+    calls = []
+    payload = b"x" * 20000
+    substrate, waiting = consumer_of(recording(calls, lambda base: payload,
+                                               held={2}))
+    result = substrate.get("ndn:/svc/blob", lifetime_ms=50.0)
+    assert result.payload == payload
+    assert calls.count("ndn:/svc/blob/seg=1") == 2       # dropped, then sent again
+    assert len(calls) == 4
+    assert waiting() == []
+
+
+def test_fetch_gives_up_after_one_retry_by_default(consumer_of):
+    calls = []
+    substrate, waiting = consumer_of(recording(calls))
+    with pytest.raises(TimeoutError_):
+        substrate.get("ndn:/svc/held/x", lifetime_ms=20.0)
+    assert calls == ["ndn:/svc/held/x/seg=0"] * 2
+    assert waiting() == []
+
+
+def test_fetch_fails_on_a_rejected_segment(consumer_of):
+    def validator(content):
+        raise ValidationError("integrity", "bad segment %s" % content.name)
+
+    substrate, waiting = consumer_of(recording([]))
+    with pytest.raises(ValidationError) as err:
+        substrate.get("ndn:/svc/x", validator=validator)
+    assert err.value.reason == "integrity"
+    assert waiting() == []
+
+
+def test_fetch_without_a_route_fails(consumer_of):
+    substrate, waiting = consumer_of(recording([]))
+    with pytest.raises(NoRouteError):
+        substrate.get("ndn:/elsewhere/x")
+    assert waiting() == []
+
+
+def test_get_many_keeps_order_with_errors(consumer_of):
+    def body(base):
+        tail = base.components[-1]
+        return b"big" * 9000 if tail == "big" else ("got %s" % tail).encode()
+
+    substrate, waiting = consumer_of(recording([], body))
+    names = ["ndn:/svc/item/%d" % i for i in range(9)]
+    names[2:2] = ["ndn:/svc/big"]
+    names[4:4] = ["ndn:/elsewhere/unroutable"]
+    names[7:7] = ["ndn:/svc/held/y"]
+    results = substrate.get_many([{"name": n, "lifetime_ms": 50.0} for n in names],
+                                 window=3)
+    assert len(results) == 12
+    assert isinstance(results[4], NoRouteError)
+    assert isinstance(results[7], TimeoutError_)
+    assert results[2].payload == b"big" * 9000
+    assert len(results[2].segments) == 4
+    items = [r for i, r in enumerate(results) if i not in (2, 4, 7)]
+    assert [r.payload for r in items] == [b"got %d" % i for i in range(9)]
+    assert waiting() == []
+
+
+def test_pit_sweeps_expired_entries_but_keeps_subscriptions():
+    net, sub, producer = line_network(lambda interest: None)
+    subscription = sub.get_async("ndn:/OGB-SYS/svc/updates/1", lifetime_ms=None)
+    results = sub.get_many([{"name": "ndn:/OGB-SYS/svc/x/%d" % i,
+                             "lifetime_ms": 10.0} for i in range(200)])
+    assert all(isinstance(r, TimeoutError_) for r in results)
+    for node in net.nodes.values():
+        assert 0 < len(node.pit) <= PIT_SWEEP_MIN
+    content = build_segments("ndn:/OGB-SYS/svc/updates/1", b"event", 1000.0)[0]
+    producer.satisfy(content)
+    assert net.loop.run_until(lambda: subscription.done)
+    assert subscription.result().payload == b"event"

@@ -18,7 +18,7 @@ from ogb.frontend import Credentials, InsertHandler, QueryHandler, RangeQuery
 from ogb.geodata import canonical_json, make_ogb_data_set, parse_feature
 from ogb.grid import BoundingBox
 from ogb.icn import wire
-from ogb.icn.core import ContentObject, Interest, build_segments
+from ogb.icn.core import PIT_SWEEP_MIN, ContentObject, Interest, build_segments
 from ogb.icn.sockets import ContentServer, SocketSubstrate
 from ogb.names import Name, split_segment, tile_prefix
 from ogb.trust import TrustEnvelope
@@ -152,32 +152,6 @@ def test_modeled_delay_is_not_slept_over_sockets():
         server.stop()
 
 
-def test_get_many_returns_mixed_objects_in_order():
-    server = ContentServer()
-
-    def producer(interest):
-        base, seg = split_segment(Name.from_text(interest.name))
-        body = b"big" * 9000 if base.text.endswith("/big") else base.text.encode()
-        segments = build_segments(base, body, freshness_ms=60000.0)
-        return segments[seg], 0.0
-
-    server.attach_producer("ndn:/mix", producer)
-    server.start()
-    try:
-        client = SocketSubstrate([server.address])
-        names = ["ndn:/mix/s0", "ndn:/mix/big", "ndn:/elsewhere/x",
-                 "ndn:/mix/s1", "ndn:/mix/s2"]
-        results = client.get_many([{"name": n} for n in names], window=2)
-        assert len(results[1].segments) == 4
-        assert results[1].payload == b"big" * 9000
-        assert isinstance(results[2], NoRouteError)
-        for i in (0, 3, 4):
-            assert results[i].payload == names[i].encode()
-        client.close()
-    finally:
-        server.stop()
-
-
 def test_concurrent_get_many_on_one_substrate():
     server, _ = echo_server()
     interval = sys.getswitchinterval()
@@ -248,6 +222,39 @@ def test_a_fetch_fails_once_its_retries_run_out():
             client.get("ndn:/lossy/b", lifetime_ms=50.0, retries=2)
         assert calls["seg1"] == 3
         client.close()
+    finally:
+        server.stop()
+
+
+def test_a_server_forgets_the_interests_it_held():
+    server = ContentServer()
+    server.attach_producer("ndn:/hold", lambda interest: None)
+    server.start()
+    try:
+        subscriber = SocketSubstrate([server.address])
+        got = {}
+        thread = threading.Thread(target=lambda: got.update(
+            result=subscriber.get("ndn:/hold/next", lifetime_ms=None)),
+            daemon=True)
+        thread.start()
+        client = SocketSubstrate([server.address])
+        results = client.get_many([{"name": "ndn:/hold/%d" % i,
+                                    "lifetime_ms": 5.0} for i in range(200)])
+        assert all(isinstance(r, TimeoutError_) for r in results)
+        # Held interests past their lifetime are swept as new ones arrive.
+        assert len(server._pending) <= PIT_SWEEP_MIN
+        client.close()
+        # Those of a closed connection go at once; the subscription stays.
+        limit = time.monotonic() + 5.0
+        while len(server._pending) != 1 and time.monotonic() < limit:
+            time.sleep(0.01)
+        assert len(server._pending) == 1
+        content = build_segments("ndn:/hold/next", b"later", 1000.0)[0]
+        assert server.satisfy(content) == 1
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert got["result"].payload == b"later"
+        subscriber.close()
     finally:
         server.stop()
 
