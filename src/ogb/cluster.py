@@ -227,13 +227,20 @@ class ClusterConfig:
         config.validate()
         return config
 
-    @staticmethod
-    def _engine(data: dict, where: str, bf_m: int, bf_h: int) -> EngineConfig:
+    @classmethod
+    def _engine(cls, data: dict, where: str, bf_m: int, bf_h: int) -> EngineConfig:
         prefixes = data.get("servedPrefixes")
         if not isinstance(data.get("id"), str) or not isinstance(prefixes, list) \
                 or not all(isinstance(p, str) for p in prefixes):
             raise ConfigError("%s needs a string id and a list of servedPrefixes"
                               % where)
+        cls._address(data, where)
+        if "cacheCapacity" in data:
+            _integer(data["cacheCapacity"], where + ".cacheCapacity", 0)
+        for key in ("tileFreshnessMs", "ipresFreshnessMs", "procBaseMs",
+                    "procPerItemMs"):
+            if key in data:
+                _number(data[key], "%s.%s" % (where, key))
         try:
             return EngineConfig.from_dict(data, bf_m=bf_m, bf_h=bf_h)
         except (AttributeError, TypeError, ValueError) as exc:
@@ -245,7 +252,11 @@ class ClusterConfig:
         host = address.get("host", "")
         if not isinstance(host, str):
             raise ConfigError("%s.address.host must be a string" % where)
-        return host, _integer(address.get("port", 0), where + ".address.port", 0)
+        port = _integer(address.get("port", 0), where + ".address.port", 0)
+        if port > 65535:
+            raise ConfigError("%s.address.port must be at most 65535, got %d"
+                              % (where, port))
+        return host, port
 
     @classmethod
     def load(cls, path) -> "ClusterConfig":
@@ -471,8 +482,8 @@ def _cert_lookup(cert_repo: CertRepo, keys: KeyStore):
 
 class _Cluster:
     """The deployment both transports share.  `_assemble` puts each engine
-    and service on a host from the subclass's `_host`; every host has
-    `attach_producer`, `satisfy`, `dispatch_lock` and `clear_cache`."""
+    and service on a `core.Host` from the subclass's `_host`; `nodes` holds
+    every host by id, with the sim's switch and handler, for `status`."""
 
     MODE = ""
 
@@ -491,6 +502,7 @@ class _Cluster:
         self.engines: dict[str, Engine] = {}
         self.servers: dict = {}
         self.hosts: list = []
+        self.nodes: dict = {}
         self.bloom_server = None
         self.bf_server = None
         self.bf_feed = None
@@ -515,6 +527,7 @@ class _Cluster:
         for prefix, handler in producers.items():
             host.attach_producer(prefix, handler)
         self.hosts.append(host)
+        self.nodes[host_id] = host
         return host
 
     def _add_engine(self, ecfg: EngineConfig) -> None:
@@ -555,6 +568,12 @@ class _Cluster:
             with self.servers[engine_id].dispatch_lock:
                 yield engine
 
+    def _each_node(self):
+        """(id, counters) of every node, each held while it cannot count."""
+        for node_id, node in self.nodes.items():
+            with node.dispatch_lock:
+                yield node_id, node.counters
+
     # -- lifecycle -----------------------------------------------------------
 
     def issue_user(self, tid: str, uid: str) -> tuple[trust.KeyPair, trust.Certificate]:
@@ -574,6 +593,8 @@ class _Cluster:
     def reset_counters(self) -> None:
         for engine in self._each_engine():
             engine.reset_counters()
+        for _, counters in self._each_node():
+            counters.clear()
 
     def snapshot(self) -> None:
         for engine in self._each_engine():
@@ -587,6 +608,8 @@ class _Cluster:
         }
         if self.bloom_server is not None:
             report["bfServer"] = self.bloom_server.stats()
+        report["nodes"] = {node_id: dict(counters)
+                           for node_id, counters in self._each_node()}
         return report
 
     def stop(self) -> None:
@@ -606,8 +629,8 @@ class SimCluster(_Cluster):
         super().__init__(config, keystore)
         self.network = SimNetwork()
         # Not hosts: these two cache nothing, so `flush_caches` skips them.
-        self.network.add_node(SWITCH_ID)
-        handler = self.network.add_node(HANDLER_ID)
+        self.nodes[SWITCH_ID] = self.network.add_node(SWITCH_ID)
+        handler = self.nodes[HANDLER_ID] = self.network.add_node(HANDLER_ID)
         self.network.connect(HANDLER_ID, SWITCH_ID,
                              bandwidth_mbps=config.handler_bandwidth_mbps,
                              latency_ms=config.link_latency_ms)
@@ -647,14 +670,6 @@ class SimCluster(_Cluster):
         # The pending subscriptions sit in the PITs, and their callbacks
         # hold this cluster.
         self.network.close()
-
-    def reset_counters(self) -> None:
-        super().reset_counters()
-        for node in self.network.nodes.values():
-            node.counters.clear()
-
-    def status(self) -> dict:
-        return dict(super().status(), nodes=self.network.counters())
 
 
 def network_cert_fetcher(substrate):

@@ -6,19 +6,20 @@ a content store caches fresh contents.  Large payloads travel as fixed-size
 segments under `<name>/seg=<i>`; every segment carries the final segment
 index so a consumer can pipeline the rest after segment 0.
 
-The consumer is written once, here, for both transports: `GetOperation`
-fetches one object and `fetch_many` keeps a window of them in flight.  A
-transport supplies only its clock, as an event loop, and how an interest
-leaves the host, as `express` (plus `withdraw` where an interest can be
-taken back): the simulator its network's virtual-time loop and a node's
-`express`, the socket client a wall-clock loop per call.  Each segment
-interest is retried once, each attempt waiting its lifetime, on either
-transport.
+Both ends are written once, here, for both transports.  `Host` answers
+interests from its content store, PIT and producers; a transport adds its
+clock and faces, and a simulated node forwards what no producer serves.
+`GetOperation` fetches one object and `fetch_many` keeps a window of them
+in flight; a transport supplies their clock, as an event loop, and how an
+interest leaves the host, as `express` (plus `withdraw` where one can be
+taken back).  Each segment interest is retried once, each attempt waiting
+its lifetime, on either transport.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import contextlib
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -144,9 +145,9 @@ class PitEntry:
 class Pit:
     """Pending-interest table keyed by exact name text.
 
-    `add` returns True when the interest must be forwarded (new entry, or an
-    expired one being renewed) and False when it was aggregated onto an
-    in-flight request.
+    `add` returns True when the interest must go on (a new entry, an expired
+    one renewed, or a retransmission: a face sending again a name it waits
+    on, which renews the entry too) and False when it joined a live entry.
 
     An expired entry stays until it is renewed or consumed, or until `add`
     sweeps: once the table has doubled since the last sweep, adding a new
@@ -169,10 +170,10 @@ class Pit:
             return True
         if face not in entry.faces:
             entry.faces.append(face)
-        if entry.expiry is not None and now >= entry.expiry:
-            entry.expiry = expiry
-            return True
-        return False
+            if entry.expiry is None or now < entry.expiry:
+                return False
+        entry.expiry = expiry
+        return True
 
     def forwarded(self, name: str, hop) -> None:
         self._entries[name].upstream.add(hop)
@@ -194,9 +195,6 @@ class Pit:
                 entry.faces.remove(face)
                 if not entry.faces:
                     del self._entries[name]
-
-    def pending(self, name: str) -> bool:
-        return name in self._entries
 
     def __len__(self):
         return len(self._entries)
@@ -233,6 +231,77 @@ class ContentStore:
 
     def __len__(self):
         return len(self._items)
+
+
+class Host:
+    """Answers interests on either transport: `receive_interest` tries the
+    content store, then the PIT, then the producer under the longest
+    matching prefix.  A producer returns `(content, delay_ms)`, which is
+    cached and answers every waiting face, or None to hold the entry for
+    `satisfy`.  A transport adds `now_ms` and `_deliver(content, face)`, and
+    may change what a delay means (`_answer`) and where an unserved name
+    goes (`_route`, `_forward`).  State and producers need `dispatch_lock`.
+    """
+
+    def __init__(self, cache_capacity: int = 0):
+        self.cs = ContentStore(cache_capacity)
+        self.pit = Pit()
+        self.producers = Fib()
+        self.counters: Counter = Counter()
+        self.dispatch_lock = contextlib.nullcontext()
+
+    def _route(self, name: str, face):
+        return None
+
+    def attach_producer(self, prefix: str, handler: Callable) -> None:
+        self.producers.add(prefix, handler)
+
+    def clear_cache(self) -> None:
+        with self.dispatch_lock:
+            self.cs.clear()
+
+    def receive_interest(self, interest: Interest, face) -> None:
+        name = interest.name
+        with self.dispatch_lock:
+            self.counters["interestsIn"] += 1
+            now = self.now_ms()
+            cached = self.cs.get(name, now)
+            if cached is not None:
+                self.counters["cacheHits"] += 1
+                self._deliver(cached, face)
+                return
+            producer = self.producers.lookup(name)
+            hop = None if producer is not None else self._route(name, face)
+            if producer is None and hop is None:
+                self.counters["noRoute"] += 1
+                return
+            expiry = None if interest.lifetime_ms is None else now + interest.lifetime_ms
+            if not self.pit.add(name, face, expiry, now):
+                self.counters["aggregated"] += 1
+                return
+            if producer is None:
+                self.counters["forwarded"] += 1
+                self.pit.forwarded(name, hop)
+                self._forward(interest, hop)
+                return
+            self.counters["producerCalls"] += 1
+            result = producer(interest)
+            if result is not None:
+                self._answer(*result)
+
+    def _answer(self, content: ContentObject, delay_ms: float) -> None:
+        self.cs.put(content, self.now_ms())
+        self.satisfy(content)
+
+    def satisfy(self, content: ContentObject) -> int:
+        """Answer the faces waiting on this exact name; returns how many.  Not
+        cached: a forgery pushed here would answer every later subscriber."""
+        with self.dispatch_lock:
+            faces = self.pit.consume(content.name)
+            self.counters["satisfied" if faces else "publishedUnconsumed"] += 1
+            for face in faces:
+                self._deliver(content, face)
+            return len(faces)
 
 
 class Future:

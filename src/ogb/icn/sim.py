@@ -4,25 +4,25 @@ Virtual time is in milliseconds.  Links serialize transmissions per
 direction at a configured bandwidth; producer and handler processing cost is
 modeled explicitly (producers return a delay, consumers call
 `EventLoop.advance`).  The whole network runs single-threaded, so runs are
-deterministic for a fixed input sequence.  `SimSubstrate` runs the shared
-consumer (`core.fetch_many`) on the network's loop through a node's `express`.
+deterministic for a fixed input sequence.  A `SimNode` is the shared
+`core.Host` plus a FIB and links; `SimSubstrate` runs the shared consumer
+(`core.fetch_many`) on the network's loop through a node's `express`.
 """
 
 from __future__ import annotations
 
-import contextlib
 import heapq
-from collections import Counter, deque
+from collections import deque
 from typing import Callable, Optional
 
 from ..errors import ConfigError
 from .core import (
     ContentObject,
-    ContentStore,
     FetchResult,
     Fib,
     Future,
     GetOperation,
+    Host,
     Interest,
     Pit,
     fetch,
@@ -31,15 +31,19 @@ from .core import (
 
 
 class _Event:
-    __slots__ = ("fn", "args", "cancelled")
+    __slots__ = ("fn", "args", "loop")
 
-    def __init__(self, fn, args):
+    def __init__(self, fn, args, loop):
         self.fn = fn
         self.args = args
-        self.cancelled = False
+        self.loop = loop             # until it runs or is cancelled
 
     def cancel(self):
-        self.cancelled = True
+        """Drop the callback and what it holds; a no-op once it has run."""
+        loop = self.loop
+        if loop is not None:
+            self.fn = self.args = self.loop = None
+            loop._cancelled()
 
 
 class EventLoop:
@@ -48,28 +52,42 @@ class EventLoop:
     `advance` models synchronous processing time inside a handler: it pushes
     the clock forward without running events, so work scheduled meanwhile is
     delivered afterwards, exactly as if the handler had been busy.
+
+    A cancelled event stays on the heap until it reaches the top or until
+    cancelled events are more than half of the heap, which is then rebuilt
+    without them; neither changes the order or the time of the rest.
     """
 
     def __init__(self):
         self.now = 0.0
         self._heap: list = []
         self._seq = 0
+        self._ncancelled = 0
 
     def schedule(self, delay_ms: float, fn, *args) -> _Event:
-        event = _Event(fn, args)
+        event = _Event(fn, args, self)
         self._seq += 1
         heapq.heappush(self._heap, (self.now + max(delay_ms, 0.0), self._seq, event))
         return event
+
+    def _cancelled(self) -> None:
+        self._ncancelled += 1
+        if 2 * self._ncancelled > len(self._heap):
+            self._heap = [entry for entry in self._heap if entry[2].fn is not None]
+            heapq.heapify(self._heap)
+            self._ncancelled = 0
 
     def advance(self, delay_ms: float) -> None:
         self.now += max(delay_ms, 0.0)
 
     def _step(self) -> None:
         when, _, event = heapq.heappop(self._heap)
-        if event.cancelled:
+        if event.fn is None:
+            self._ncancelled -= 1
             return
         if when > self.now:
             self.now = when
+        event.loop = None
         event.fn(*event.args)
 
     def run_until(self, predicate: Callable[[], bool]) -> bool:
@@ -86,7 +104,10 @@ class EventLoop:
 
     def clear(self) -> None:
         """Drop every scheduled event."""
+        for _, _, event in self._heap:
+            event.loop = None
         self._heap.clear()
+        self._ncancelled = 0
 
 
 class SimLink:
@@ -115,75 +136,47 @@ class SimLink:
 LOCAL = "local"
 
 
-class SimNode:
-    """A forwarder with FIB/PIT/CS plus locally attached producers.
+class SimNode(Host):
+    """A host that is also a forwarder, with a FIB and links to its peers.
 
-    A producer takes an Interest and returns (ContentObject, delay_ms) or
-    None to hold the PIT entry until `satisfy` is called with a matching
-    content (long-lived subscriptions work this way).  Producers run on the
-    loop's one thread, so `dispatch_lock` locks nothing.
+    A name no attached producer serves goes one hop along the FIB; one with
+    no route fails a local fetch at once.  A producer's delay is modeled
+    processing time: its answer leaves that much later.  The whole network
+    runs on the loop's one thread, so `dispatch_lock` locks nothing.
     """
 
     def __init__(self, network: "SimNetwork", node_id: str, cache_capacity: int = 0):
+        super().__init__(cache_capacity)
         self.network = network
         self.id = node_id
         self.loop = network.loop
         self.fib = Fib()
-        self.pit = Pit()
-        self.cs = ContentStore(cache_capacity)
         self.links: dict[str, SimLink] = {}
-        self.producers = Fib()
-        self.dispatch_lock = contextlib.nullcontext()
-        self.counters: Counter = Counter()
 
-    def attach_producer(self, prefix: str, handler) -> None:
-        self.producers.add(prefix, handler)
-
-    def clear_cache(self) -> None:
-        self.cs.clear()
+    def now_ms(self) -> float:
+        return self.loop.now
 
     def express(self, interest: Interest, on_content) -> None:
         """Entry point for locally originated interests."""
         self.receive_interest(interest, (LOCAL, on_content))
 
-    def receive_interest(self, interest: Interest, face) -> None:
-        self.counters["interestsIn"] += 1
-        cached = self.cs.get(interest.name, self.loop.now)
-        if cached is not None:
-            self.counters["cacheHits"] += 1
-            self._deliver(cached, face)
-            return
-        expiry = None
-        if interest.lifetime_ms is not None:
-            expiry = self.loop.now + interest.lifetime_ms
-        if not self.pit.add(interest.name, face, expiry, self.loop.now):
-            self.counters["aggregated"] += 1
-            return
-        producer = self.producers.lookup(interest.name)
-        if producer is not None:
-            self.counters["producerCalls"] += 1
-            result = producer(interest)
-            if result is None:
-                return
-            content, delay = result
-            if delay > 0:
-                self.loop.schedule(delay, self.satisfy, content)
-            else:
-                self.satisfy(content)
-            return
-        hop = self.fib.lookup(interest.name)
-        if hop is None:
-            self.counters["noRoute"] += 1
-            for f in self.pit.consume(interest.name):
-                if f[0] == LOCAL:
-                    self.loop.schedule(0, f[1], None)
-            return
-        self.counters["forwarded"] += 1
-        self.pit.forwarded(interest.name, hop)
-        link = self.links[hop]
-        peer = self.network.nodes[hop]
-        link.transmit(interest.wire_size, peer.receive_interest, interest,
-                      ("node", self.id))
+    def _route(self, name: str, face):
+        """The FIB's next hop; with none, a local fetch fails at once."""
+        hop = self.fib.lookup(name)
+        if hop is None and face[0] == LOCAL:
+            self.loop.schedule(0, face[1], None)
+        return hop
+
+    def _forward(self, interest: Interest, hop: str) -> None:
+        self.links[hop].transmit(interest.wire_size,
+                                 self.network.nodes[hop].receive_interest,
+                                 interest, ("node", self.id))
+
+    def _answer(self, content: ContentObject, delay_ms: float) -> None:
+        if delay_ms > 0:
+            self.loop.schedule(delay_ms, super()._answer, content, 0.0)
+        else:
+            super()._answer(content, 0.0)
 
     def receive_content(self, content: ContentObject, face) -> None:
         self.counters["contentsIn"] += 1
@@ -192,17 +185,6 @@ class SimNode:
             self.counters["unsolicited"] += 1
             return
         self.cs.put(content, self.loop.now)
-        for f in faces:
-            self._deliver(content, f)
-
-    def satisfy(self, content: ContentObject) -> None:
-        """Producer-side completion: cache and answer all waiting faces."""
-        self.cs.put(content, self.loop.now)
-        faces = self.pit.consume(content.name)
-        if not faces:
-            self.counters["publishedUnconsumed"] += 1
-            return
-        self.counters["satisfied"] += 1
         for f in faces:
             self._deliver(content, f)
 
@@ -266,9 +248,6 @@ class SimNetwork:
                 queue.append(neighbor)
         for node_id, hop in toward.items():
             self.nodes[node_id].fib.add(prefix, hop)
-
-    def counters(self) -> dict[str, dict]:
-        return {node_id: dict(node.counters) for node_id, node in self.nodes.items()}
 
     def close(self) -> None:
         """Drop every scheduled event and pending interest and unlink the

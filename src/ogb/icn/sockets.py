@@ -1,15 +1,15 @@
 """TCP transport: threaded content servers and a client substrate.
 
-A ContentServer keeps its producers in a longest-prefix `Fib`, announces
-their prefixes to every client on connect, and answers interests from its
-content store or producers.  A producer may hold an interest; `satisfy`
-pushes the reply later, as on a simulated node (solicited only: a pending
-interest must exist).  Held interests wait in a `core.Pit` whose faces are
-connections, so one expires after its lifetime and a closed connection
-leaves none behind.  Producers run one at a time under the server's
-dispatch lock, because engine handlers are not thread-safe.  The delay a
-producer returns is the simulator's modeled processing time; it is not
-slept here.
+A ContentServer is the shared `core.Host` behind a TCP listener: it
+announces its producers' prefixes to every client on connect and answers
+interests from its content store, PIT and producers, as a simulated node
+does.  Its faces are connections, so a held interest expires after its
+lifetime and a closed connection leaves none behind.  A name no producer
+serves is answered nothing.  One thread serves each connection; host state
+and producers are touched only under the server's reentrant dispatch lock,
+because engine handlers are not thread-safe and an engine publishes through
+`satisfy` from inside its handler.  The delay a producer returns is the
+simulator's modeled processing time; it is not slept here.
 
 The SocketSubstrate runs the shared consumer (`core.fetch_many`,
 with its one retry per segment) on a wall-clock event loop of its own per
@@ -36,8 +36,8 @@ from typing import Callable, Optional
 
 from ..errors import ProtocolError
 from . import wire
-from .core import (ContentObject, ContentStore, FetchResult, Fib, Interest,
-                   Pit, fetch, fetch_many)
+from .core import (ContentObject, FetchResult, Fib, Host, Interest, Pit,
+                   fetch, fetch_many)
 from .sim import EventLoop
 
 log = logging.getLogger(__name__)
@@ -82,7 +82,7 @@ class _ServedConn:
             return False
 
 
-class ContentServer:
+class ContentServer(Host):
     """One listener hosting producers behind announced prefixes.
 
     Producers run only under `dispatch_lock`; hold it to touch a producer's
@@ -91,19 +91,19 @@ class ContentServer:
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  cache_capacity: int = 0):
+        super().__init__(cache_capacity)
         self.host = host or "127.0.0.1"
         self.port = port
-        self.cs = ContentStore(cache_capacity)
-        self.producers = Fib()
-        self.dispatch_lock = threading.Lock()
-        self._state = threading.Lock()
-        self._pending = Pit()        # held interests; faces are connections
+        self.dispatch_lock = threading.RLock()
         self._conns: set[_ServedConn] = set()
         self._listener: Optional[socket.socket] = None
         self._closing = False
 
-    def attach_producer(self, prefix: str, handler: Callable) -> None:
-        self.producers.add(prefix, handler)
+    def now_ms(self) -> float:
+        return _now_ms()
+
+    def _deliver(self, content: ContentObject, conn: _ServedConn) -> None:
+        conn.send(wire.content_message(content))
 
     def start(self) -> None:
         if not len(self.producers):
@@ -117,30 +117,16 @@ class ContentServer:
         self._closing = True
         if self._listener is not None:
             _shut(self._listener)
-        with self._state:
+        with self.dispatch_lock:
             conns = list(self._conns)
             self._conns.clear()
-            self._pending = Pit()
+            self.pit = Pit()
         for conn in conns:
             _shut(conn.sock)
 
     @property
     def address(self) -> tuple[str, int]:
         return (self.host, self.port)
-
-    def clear_cache(self) -> None:
-        with self._state:
-            self.cs.clear()
-
-    def satisfy(self, content: ContentObject) -> int:
-        """Satisfy any interests held open for this exact name; returns how
-        many connections were waiting."""
-        with self._state:
-            waiting = self._pending.consume(content.name)
-        message = wire.content_message(content)
-        for conn in waiting:
-            conn.send(message)
-        return len(waiting)
 
     def _accept_loop(self) -> None:
         while not self._closing:
@@ -154,7 +140,7 @@ class ContentServer:
     def _serve(self, sock) -> None:
         _no_delay(sock)
         conn = _ServedConn(sock)
-        with self._state:
+        with self.dispatch_lock:
             closing = self._closing     # else `stop` will shut this one
             if not closing:
                 self._conns.add(conn)
@@ -172,41 +158,18 @@ class ContentServer:
                 if message is None:
                     return
                 if message["type"] == wire.TYPE_INTEREST:
-                    self._handle(conn, wire.parse_interest(message))
+                    self.receive_interest(wire.parse_interest(message), conn)
         except (ProtocolError, OSError) as exc:
             if not self._closing:
                 log.debug("connection dropped: %s", exc)
         finally:
-            with self._state:
+            with self.dispatch_lock:
                 self._conns.discard(conn)
-                self._pending.drop_face(conn)
+                self.pit.drop_face(conn)
             try:
                 sock.close()
             except OSError:
                 pass
-
-    def _handle(self, conn: _ServedConn, interest: Interest) -> None:
-        with self._state:
-            cached = self.cs.get(interest.name, _now_ms())
-        if cached is not None:
-            conn.send(wire.content_message(cached))
-            return
-        handler = self.producers.lookup(interest.name)
-        if handler is None:
-            return
-        with self.dispatch_lock:
-            result = handler(interest)
-            if result is None:
-                now = _now_ms()
-                expiry = (None if interest.lifetime_ms is None
-                          else now + interest.lifetime_ms)
-                with self._state:
-                    self._pending.add(interest.name, conn, expiry, now)
-                return
-            content = result[0]
-            with self._state:
-                self.cs.put(content, _now_ms())
-        conn.send(wire.content_message(content))
 
 
 class _Peer(_ServedConn):

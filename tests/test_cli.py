@@ -261,6 +261,12 @@ def _config_with(**changes):
     return data
 
 
+def _engine_with(**changes):
+    data = _config_with()
+    data["engines"][0].update(changes)
+    return data
+
+
 @pytest.mark.parametrize("config", [
     ["not", "an", "object"],
     _config_with(engines=["rome"]),
@@ -273,9 +279,21 @@ def _config_with(**changes):
     _config_with(topology__handlerLinkMbps=-1),
     _config_with(topology__handlerLinkMbps="fast"),
     _config_with(certRepo__address={"port": "x"}),
+    _engine_with(cacheCapacity=True),
+    _engine_with(cacheCapacity=2.7),
+    _engine_with(cacheCapacity=-1),
+    _engine_with(tileFreshnessMs=-5),
+    _engine_with(procBaseMs=-1.0),
+    _engine_with(address={"host": 7}),
+    _engine_with(address={"port": -4}),
+    _config_with(bfServer__address={"port": 65536}),
+    _config_with(certRepo__address={"port": 70000}),
 ], ids=["array", "engine-string", "engine-without-prefixes", "m-string",
         "m-zero", "h-negative", "m-bool", "seed-string", "bandwidth-negative",
-        "bandwidth-string", "port-string"])
+        "bandwidth-string", "port-string", "capacity-bool", "capacity-float",
+        "capacity-negative", "freshness-negative", "proc-negative",
+        "engine-host-number", "engine-port-negative", "bf-port-too-big",
+        "cert-port-too-big"])
 def test_bad_config_is_one_json_config_error(capsys, tmp_path, config):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(config), encoding="utf-8")

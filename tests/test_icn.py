@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from ogb.errors import (ConfigError, NameParseError, NoRouteError, TimeoutError_,
@@ -17,6 +20,7 @@ from ogb.icn import (
     segment_payloads,
 )
 from ogb.icn.core import PIT_SWEEP_MIN
+from ogb.icn.sim import LOCAL
 from ogb.icn.sockets import ContentServer, SocketSubstrate
 from ogb.names import Name, split_segment
 
@@ -42,6 +46,19 @@ def test_event_loop_cancellation():
     ev.cancel()
     loop.run_until_idle()
     assert seen == ["kept"]
+
+
+def test_cancelled_events_leave_the_heap_without_reordering_the_rest():
+    loop = EventLoop()
+    seen = []
+    events = [loop.schedule(float(i % 7), lambda i=i: seen.append((i, loop.now)))
+              for i in range(100)]
+    for event in events[::4] + events[1::4] + events[2::4]:
+        event.cancel()
+    assert len(loop._heap) < 50           # rebuilt once most were cancelled
+    loop.run_until_idle()
+    kept = sorted(range(3, 100, 4), key=lambda i: (i % 7, i))
+    assert seen == [(i, float(i % 7)) for i in kept]
 
 
 def test_fib_longest_prefix():
@@ -77,8 +94,10 @@ def test_pit_aggregation_and_renewal():
     pit = Pit()
     assert pit.add("ndn:/x/seg=0", "a", expiry=10.0, now=0.0)
     assert not pit.add("ndn:/x/seg=0", "b", expiry=12.0, now=2.0)
-    assert pit.add("ndn:/x/seg=0", "a", expiry=30.0, now=10.0)   # expired: renew
-    assert sorted(pit.consume("ndn:/x/seg=0")) == ["a", "b"]
+    assert pit.add("ndn:/x/seg=0", "a", expiry=14.0, now=4.0)    # a retransmission
+    assert not pit.add("ndn:/x/seg=0", "c", expiry=20.0, now=12.0)  # live until 14
+    assert pit.add("ndn:/x/seg=0", "d", expiry=30.0, now=14.0)   # expired: renew
+    assert sorted(pit.consume("ndn:/x/seg=0")) == ["a", "b", "c", "d"]
     assert pit.consume("ndn:/x/seg=0") == []
 
 
@@ -130,19 +149,6 @@ def chunked_producer(payload, freshness_ms=60000.0, delay_ms=0.0):
         contents = build_segments(base, payload, freshness_ms)
         return contents[index], (delay_ms if index == 0 else 0.0)
     return handler
-
-
-def test_cache_hit_skips_producer():
-    net, sub, producer = line_network(chunked_producer(b"answer"))
-    a = sub.get("ndn:/OGB-SYS/svc/blob")
-    calls = producer.counters["producerCalls"]
-    b = sub.get("ndn:/OGB-SYS/svc/blob")
-    assert b.payload == a.payload == b"answer"
-    assert producer.counters["producerCalls"] == calls
-    assert producer.counters["cacheHits"] == 1
-    producer.clear_cache()
-    sub.get("ndn:/OGB-SYS/svc/blob")
-    assert producer.counters["producerCalls"] == 2 * calls
 
 
 def test_interest_aggregation():
@@ -202,6 +208,14 @@ def test_timeout_after_retry():
     assert net.loop.now == pytest.approx(20.0)
 
 
+def test_fetches_leave_no_cancelled_timeouts_behind():
+    net, sub, _ = line_network(chunked_producer(b"answer", freshness_ms=0.0))
+    for _ in range(500):
+        assert sub.get("ndn:/OGB-SYS/svc/blob").payload == b"answer"
+    assert net.loop.now < 4000.0          # no timeout has fallen due
+    assert len(net.loop._heap) <= 1
+
+
 def test_pit_hold_until_publish():
     held = []
 
@@ -218,15 +232,6 @@ def test_pit_hold_until_publish():
     assert net.loop.run_until(lambda: future.done)
     assert future.result().payload == b"event"
     assert net.loop.now == pytest.approx(50.0)
-
-
-def test_publish_before_subscribe_lands_in_cache():
-    net, sub, producer = line_network(lambda interest: None)
-    content = build_segments("ndn:/OGB-SYS/svc/updates/0", b"early", 60000.0)[0]
-    producer.satisfy(content)
-    assert producer.counters["publishedUnconsumed"] == 1
-    result = sub.get("ndn:/OGB-SYS/svc/updates/0")
-    assert result.payload == b"early"
 
 
 def test_announce_conflict():
@@ -261,37 +266,107 @@ def answering(payload):
     return producer
 
 
-def on_sim_node(attach):
-    """A consumer node linked to a host node that `attach` gives producers:
-    the consumer's substrate, the names it still waits on (its live PIT
-    entries), and a closer."""
-    net = SimNetwork()
-    consumer = net.add_node("consumer")
-    host = net.add_node("host")
-    net.connect("consumer", "host")
-    attach(host)
-    for prefix in host.producers.prefixes():
-        net.announce(prefix, "host")
+class OnSimNode:
+    """A host node that `attach` gives producers, with consumer nodes linked
+    to it; `substrate` is the first consumer's."""
 
-    def waiting():
-        return [name for name, entry in consumer.pit._entries.items()
-                if entry.expiry is None or net.loop.now < entry.expiry]
+    def __init__(self, attach):
+        self.net = SimNetwork()
+        self.host = self.net.add_node("host", cache_capacity=64)
+        attach(self.host)
+        self._consumers = []
+        self.substrate = self.consumer()
 
-    return SimSubstrate(net, consumer), waiting, lambda: None
+    def consumer(self):
+        node = self.net.add_node("consumer-%d" % len(self._consumers))
+        self.net.connect(node.id, "host")
+        for prefix in self.host.producers.prefixes():
+            self.net.announce(prefix, "host")
+        self._consumers.append(node)
+        return SimSubstrate(self.net, node)
+
+    def face(self):
+        """A face of the host's own, distinct from every other."""
+        return (LOCAL, [].append)
+
+    def waiting(self):
+        """The names the consumers still wait on: their live PIT entries."""
+        now = self.net.loop.now
+        return [name for node in self._consumers
+                for name, entry in node.pit._entries.items()
+                if entry.expiry is None or now < entry.expiry]
+
+    def ask(self, substrate, name, **kwargs):
+        """Start fetching `name`; returns a call that waits for the result."""
+        future = substrate.get_async(name, **kwargs)
+
+        def result():
+            self.until(lambda: future.done)
+            return future.result()
+
+        return result
+
+    def until(self, predicate):
+        assert self.net.loop.run_until(predicate)
+
+    def close(self):
+        pass
 
 
-def on_content_server(attach):
-    """The same over a loopback ContentServer; the names waited on are the
-    waiters left on the client's connection."""
-    server = ContentServer()
-    attach(server)
-    server.start()
-    client = SocketSubstrate([server.address])
-    waiting = lambda: [name for peer in client._peers for name in peer.waiters]
-    return client, waiting, lambda: (client.close(), server.stop())
+class _Face:
+    def send(self, message):
+        return True
 
 
-@pytest.mark.parametrize("host", [on_sim_node, on_content_server],
+class OnContentServer:
+    """The same over a loopback ContentServer: each consumer is a client
+    connection, and the names waited on are the waiters left on them."""
+
+    def __init__(self, attach):
+        self.host = ContentServer(cache_capacity=64)
+        attach(self.host)
+        self.host.start()
+        self._clients = []
+        self.substrate = self.consumer()
+
+    def consumer(self):
+        self._clients.append(SocketSubstrate([self.host.address]))
+        return self._clients[-1]
+
+    def face(self):
+        return _Face()
+
+    def waiting(self):
+        return [name for client in self._clients
+                for peer in client._peers for name in peer.waiters]
+
+    def ask(self, substrate, name, **kwargs):
+        got = {}
+        thread = threading.Thread(
+            target=lambda: got.update(result=substrate.get(name, **kwargs)),
+            daemon=True)
+        thread.start()
+
+        def result():
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+            return got["result"]
+
+        return result
+
+    def until(self, predicate):
+        limit = time.monotonic() + 5.0
+        while not predicate():
+            assert time.monotonic() < limit
+            time.sleep(0.005)
+
+    def close(self):
+        for client in self._clients:
+            client.close()
+        self.host.stop()
+
+
+@pytest.mark.parametrize("host", [OnSimNode, OnContentServer],
                          ids=["SimNode", "ContentServer"])
 def test_hosts_pick_the_longest_attached_prefix(host):
     def attach(node):
@@ -300,35 +375,44 @@ def test_hosts_pick_the_longest_attached_prefix(host):
         with pytest.raises(ConfigError):
             node.attach_producer("ndn:/svc/deep", answering(b"again"))
 
-    substrate, _, close = host(attach)
+    rig = host(attach)
     try:
-        assert substrate.get("ndn:/svc/deep/x").payload == b"long"
-        assert substrate.get("ndn:/svc/other").payload == b"short"
-        assert substrate.get("ndn:/svc/deeper").payload == b"short"   # by component
+        assert rig.substrate.get("ndn:/svc/deep/x").payload == b"long"
+        assert rig.substrate.get("ndn:/svc/other").payload == b"short"
+        assert rig.substrate.get("ndn:/svc/deeper").payload == b"short"   # by component
     finally:
-        close()
+        rig.close()
 
 
 # -- the fetch contract, the same on both transports ----------------------------
 
-@pytest.fixture(params=[on_sim_node, on_content_server], ids=["sim", "socket"])
-def consumer_of(request):
-    """consumer_of(producer) -> (substrate, waiting) with `producer` serving
-    ndn:/svc on the other side of the transport."""
-    closers = []
+@pytest.fixture(params=[OnSimNode, OnContentServer], ids=["sim", "socket"])
+def host_of(request):
+    """host_of(producer) -> a rig whose host serves ndn:/svc with `producer`."""
+    rigs = []
 
     def build(producer):
-        substrate, waiting, close = request.param(
-            lambda host: host.attach_producer("ndn:/svc", producer))
-        closers.append(close)
-        return substrate, waiting
+        rigs.append(request.param(
+            lambda host: host.attach_producer("ndn:/svc", producer)))
+        return rigs[-1]
 
     yield build
-    for close in closers:
-        close()
+    for rig in rigs:
+        rig.close()
 
 
-def recording(calls, body=lambda base: b"ok", held=()):
+@pytest.fixture
+def consumer_of(host_of):
+    """consumer_of(producer) -> (substrate, waiting) with `producer` serving
+    ndn:/svc on the other side of the transport."""
+    def build(producer):
+        rig = host_of(producer)
+        return rig.substrate, rig.waiting
+
+    return build
+
+
+def recording(calls, body=lambda base: b"ok", held=(), freshness_ms=0.0):
     """Answers each segment of `body(base name)` and records every interest's
     name; holds (never answers) the calls whose 1-based ordinal is in
     `held`, and every call for a name under ndn:/svc/held."""
@@ -337,7 +421,7 @@ def recording(calls, body=lambda base: b"ok", held=()):
         base, seg = split_segment(Name.from_text(interest.name))
         if len(calls) in held or base.text.startswith("ndn:/svc/held"):
             return None
-        return build_segments(base, body(base))[seg], 0.0
+        return build_segments(base, body(base), freshness_ms)[seg], 0.0
     return producer
 
 
@@ -411,6 +495,68 @@ def test_get_many_keeps_order_with_errors(consumer_of):
     items = [r for i, r in enumerate(results) if i not in (2, 4, 7)]
     assert [r.payload for r in items] == [b"got %d" % i for i in range(9)]
     assert waiting() == []
+
+
+# -- the host contract, the same on both transports -----------------------------
+
+def test_a_cache_hit_skips_the_producer(host_of):
+    calls = []
+    rig = host_of(recording(calls, freshness_ms=60000.0))
+    assert rig.substrate.get("ndn:/svc/blob").payload == b"ok"
+    assert rig.substrate.get("ndn:/svc/blob").payload == b"ok"
+    assert calls == ["ndn:/svc/blob/seg=0"]
+    assert rig.host.counters["cacheHits"] == 1
+    rig.host.clear_cache()
+    rig.substrate.get("ndn:/svc/blob")
+    assert len(calls) == 2
+
+
+def test_two_consumers_of_one_name_cause_one_producer_call(host_of):
+    calls = []
+    rig = host_of(recording(calls))
+    first = rig.ask(rig.substrate, "ndn:/svc/held/x", lifetime_ms=None)
+    second = rig.ask(rig.consumer(), "ndn:/svc/held/x", lifetime_ms=None)
+    rig.until(lambda: rig.host.counters["aggregated"] == 1)
+    assert calls == ["ndn:/svc/held/x/seg=0"]
+    content = build_segments("ndn:/svc/held/x", b"event")[0]
+    assert rig.host.satisfy(content) == 2
+    assert first().payload == second().payload == b"event"
+
+
+def test_a_retransmission_from_the_same_face_reaches_the_producer(host_of):
+    calls = []
+    rig = host_of(recording(calls))
+    interest = Interest("ndn:/svc/held/x/seg=0", lifetime_ms=60000.0)
+    face, other = rig.face(), rig.face()
+    rig.host.receive_interest(interest, face)
+    rig.host.receive_interest(interest, other)
+    rig.host.receive_interest(interest, face)        # long before it expires
+    assert calls == [interest.name] * 2
+    assert rig.host.counters["aggregated"] == 1
+    content = build_segments("ndn:/svc/held/x", b"event")[0]
+    assert rig.host.satisfy(content) == 2
+
+
+def test_a_held_interest_is_answered_by_satisfy(host_of):
+    calls = []
+    rig = host_of(recording(calls))
+    result = rig.ask(rig.substrate, "ndn:/svc/held/next", lifetime_ms=None)
+    rig.until(lambda: len(calls) == 1)
+    content = build_segments("ndn:/svc/held/next", b"later", 1000.0)[0]
+    assert rig.host.satisfy(content) == 1
+    assert result().payload == b"later"
+    assert rig.waiting() == []
+
+
+def test_content_pushed_to_nobody_is_not_cached(host_of):
+    calls = []
+    rig = host_of(recording(calls, freshness_ms=60000.0))
+    early = build_segments("ndn:/svc/x", b"early", 60000.0)[0]
+    assert rig.host.satisfy(early) == 0
+    assert rig.host.counters["publishedUnconsumed"] == 1
+    assert len(rig.host.cs) == 0
+    assert rig.substrate.get("ndn:/svc/x").payload == b"ok"
+    assert calls == ["ndn:/svc/x/seg=0"]
 
 
 def test_pit_sweeps_expired_entries_but_keeps_subscriptions():

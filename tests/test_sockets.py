@@ -100,29 +100,6 @@ def test_segmented_fetch_and_server_cache():
         server.stop()
 
 
-def test_publish_satisfies_held_interest():
-    server = ContentServer()
-    server.attach_producer("ndn:/topic", lambda interest: None)
-    server.start()
-    try:
-        client = SocketSubstrate([server.address])
-        results = {}
-
-        def fetch():
-            results["got"] = client.get("ndn:/topic/next", lifetime_ms=None)
-
-        thread = threading.Thread(target=fetch, daemon=True)
-        thread.start()
-        time.sleep(0.05)
-        content = build_segments("ndn:/topic/next", b"later", 1000.0)[0]
-        server.satisfy(content)
-        thread.join(timeout=5.0)
-        assert results["got"].payload == b"later"
-        client.close()
-    finally:
-        server.stop()
-
-
 def test_connections_set_tcp_nodelay():
     server, _ = echo_server()
     try:
@@ -177,6 +154,46 @@ def test_concurrent_get_many_on_one_substrate():
         assert [[r.payload for r in results[k]] for k in range(6)] == \
             [[b"pong" * 6000] * 6] * 6
         client.close()
+    finally:
+        sys.setswitchinterval(interval)
+        server.stop()
+
+
+def test_concurrent_clients_share_one_host_state():
+    server, calls = echo_server()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        clients = [SocketSubstrate([server.address]) for _ in range(6)]
+        results = {}
+
+        def worker(k):
+            # Names 0-3 are asked for by every client, each on its own
+            # connection, so each on its own server thread.
+            names = ["ndn:/echo/%d" % i for i in range(4)]
+            names += ["ndn:/echo/%d-%d" % (k, i) for i in range(2)]
+            results[k] = clients[k].get_many([{"name": n} for n in names],
+                                             window=3)
+
+        threads = [threading.Thread(target=worker, args=(k,))
+                   for k in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=20.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [[r.payload for r in results[k]] for k in range(6)] == \
+            [[b"pong" * 6000] * 6] * 6
+        # Each of the 108 segment interests was counted once, as exactly one
+        # of a cache hit, a producer call or an aggregation.
+        counts = server.counters
+        assert counts["interestsIn"] == 108
+        assert counts["interestsIn"] == (counts["cacheHits"] + counts["aggregated"]
+                                         + counts["producerCalls"])
+        assert counts["producerCalls"] == calls["count"]
+        assert len(server.pit) == 0
+        for client in clients:
+            client.close()
     finally:
         sys.setswitchinterval(interval)
         server.stop()
@@ -242,13 +259,13 @@ def test_a_server_forgets_the_interests_it_held():
                                     "lifetime_ms": 5.0} for i in range(200)])
         assert all(isinstance(r, TimeoutError_) for r in results)
         # Held interests past their lifetime are swept as new ones arrive.
-        assert len(server._pending) <= PIT_SWEEP_MIN
+        assert len(server.pit) <= PIT_SWEEP_MIN
         client.close()
         # Those of a closed connection go at once; the subscription stays.
         limit = time.monotonic() + 5.0
-        while len(server._pending) != 1 and time.monotonic() < limit:
+        while len(server.pit) != 1 and time.monotonic() < limit:
             time.sleep(0.01)
-        assert len(server._pending) == 1
+        assert len(server.pit) == 1
         content = build_segments("ndn:/hold/next", b"later", 1000.0)[0]
         assert server.satisfy(content) == 1
         thread.join(timeout=5.0)
@@ -572,9 +589,17 @@ def check_flush_caches_shows_a_later_insert(mode, storage):
         assert all(len(host.cs) == 0 for host in cluster.hosts)
         assert len(run_queries(qh)[1]) == 2
 
-        assert cluster.status()["engines"]["east"]["processedQueries"] > 0
+        status = cluster.status()
+        assert status["engines"]["east"]["processedQueries"] > 0
+        # Every host counts what it answered, in either mode.
+        nodes = status["nodes"]
+        assert {"east", "west", "bf-server", "cert-repo"} <= set(nodes)
+        assert mode == "socket" or {"switch", "handler"} <= set(nodes)
+        assert nodes["east"]["cacheHits"] > 0
         cluster.reset_counters()
-        assert cluster.status()["engines"]["east"]["processedQueries"] == 0
+        status = cluster.status()
+        assert status["engines"]["east"]["processedQueries"] == 0
+        assert status["nodes"]["east"].get("cacheHits", 0) == 0
     finally:
         close()
 
