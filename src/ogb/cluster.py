@@ -7,7 +7,10 @@ keeps it in step with every engine, plus `issue_user`, `flush_caches`,
 `snapshot`, `reset_counters`, `status` and `stop`.  A transport adds its
 hosts (`_host`), the way a Bloom subscription waits (`_subscribe`) and how
 it shuts down (`_close`).  A stopped cluster is freed as soon as its last
-user drops it, without waiting for a cyclic garbage collection.
+user drops it, without waiting for a cyclic garbage collection.  Each
+service is a `core.Host` producer: `CertRepo.producer`,
+`BloomService.producer` and the engine handlers return every segment of
+the object an interest names, and the host answers the asked one.
 
 A simulated cluster is a star.  Engines, the Bloom filter server, and the
 certificate repository hang off one switch over unconstrained links; the
@@ -33,11 +36,11 @@ from typing import Optional
 from . import bloom, trust
 from .engine import Engine, EngineConfig, LruCache, bulk_channel
 from .errors import ConfigError, OgbError, ValidationError
-from .geodata import canonical_json
+from .geodata import canonical_json, gone_wire, is_gone
 from .icn.core import build_segments
 from .icn.sim import SimNetwork, SimSubstrate
 from .icn.sockets import ContentServer, SocketSubstrate
-from .names import SCHEME, SYSTEM_ROOT, Name, split_segment
+from .names import SCHEME, SYSTEM_ROOT, Name
 
 log = logging.getLogger(__name__)
 
@@ -350,7 +353,11 @@ class KeyStore:
 
 class CertRepo:
     """In-process certificate directory; doubles as the producer behind the
-    system certificate prefix in either kind of cluster."""
+    system certificate prefix in either kind of cluster.  A name it does
+    not hold is answered at once with an unsigned "gone" reply at freshness
+    0, so no content store keeps it past the certificate's `add`.  Unsigned
+    is safe: a certificate authenticates itself, and a forged not-found can
+    only deny service, which dropping the interest can already do."""
 
     def __init__(self):
         self._certs: dict[str, trust.Certificate] = {}
@@ -362,15 +369,11 @@ class CertRepo:
         cert = self._certs.get(name.text)
         return cert.to_wire() if cert is not None else None
 
-    def producer(self, interest):
-        base, seg = split_segment(Name.from_text(interest.name))
+    def producer(self, interest, base: Name):
         wire = self.get_wire(base)
         if wire is None:
-            return None
-        contents = build_segments(base, wire, CERT_FRESHNESS_MS)
-        if seg is None or seg >= len(contents):
-            return None
-        return contents[seg], 0.0
+            return build_segments(base, gone_wire(base.text)), 0.0
+        return build_segments(base, wire, CERT_FRESHNESS_MS), 0.0
 
 
 class BloomService:
@@ -394,16 +397,13 @@ class BloomService:
         except Exception as exc:
             return canonical_json({"error": str(exc)})
 
-    def producer(self, interest):
-        base, seg = split_segment(Name.from_text(interest.name))
+    def producer(self, interest, base: Name):
         base_text = base.text
         cached = self._replies.get(base_text)
         if cached is None:
             cached = build_segments(base, self._reply(interest.payload))
             self._replies.put(base_text, cached)
-        if seg is None or seg >= len(cached):
-            return None
-        return cached[seg], 0.0
+        return cached, 0.0
 
 
 class FilterFeed:
@@ -635,7 +635,6 @@ class SimCluster(_Cluster):
                              bandwidth_mbps=config.handler_bandwidth_mbps,
                              latency_ms=config.link_latency_ms)
         self._assemble()
-        self.engine_nodes = self.servers
         # Announce only once every node exists, so each gets a full FIB.
         for node in self.network.nodes.values():
             for prefix in node.producers.prefixes():
@@ -673,13 +672,15 @@ class SimCluster(_Cluster):
 
 
 def network_cert_fetcher(substrate):
-    """A TrustStore fetcher that pulls certificate wires off the network."""
+    """A TrustStore fetcher that pulls certificate wires off the network;
+    None for a certificate the repository answers "gone"."""
 
     def fetch(name: Name):
         try:
-            return substrate.get(name.text).payload
+            payload = substrate.get(name.text).payload
         except OgbError:
             return None
+        return None if is_gone(payload) else payload
 
     return fetch
 

@@ -34,6 +34,9 @@ prefix once and building no publication.  Its counters end exactly where
 one insert or remove per replayed item would leave them, and its sequence
 number where the live engine left it.
 
+Each `handle_*_interest` is a producer in the sense of `core.Host`: given
+an interest and its name less the `seg=<i>` component, it returns every
+signed segment of the named object, and the host answers the asked one.
 Tile queries are authorized per interest (a bad signature is dropped without
 a response) and answered as signed segments.  A data name the engine serves
 but does not hold (a Reference named by a listing cached before a remove)
@@ -56,14 +59,13 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from . import bloom, names, trust
-from .errors import OgbError, StorageError
+from .errors import StorageError
 from .geodata import OgbData, WireTile, canonical_json, gone_wire
 from .icn.core import ContentObject, Interest, build_segments
 from .names import (
     DataName,
     IpResName,
     Name,
-    SegmentName,
     TileName,
     parse,
     routing_prefix,
@@ -418,18 +420,14 @@ class Engine:
         return build_segments(base, bloom.encode_publication(pubs),
                               freshness_ms=3600 * 1000.0, sign=self._sign)
 
-    def handle_bf_interest(self, interest: Interest):
+    def handle_bf_interest(self, interest: Interest, base: Name):
         """Serve a publication by its first sequence number, or hold the PIT
         for one not yet published."""
         try:
-            base, seg_index = names.split_segment(Name.from_text(interest.name))
-            seq = int(base.components[-1])
-        except (OgbError, ValueError):
+            contents = self.bf_log.get(int(base.components[-1]))
+        except ValueError:
             return None
-        contents = self.bf_log.get(seq)
-        if contents is None or seg_index is None or seg_index >= len(contents):
-            return None
-        return contents[seg_index], 0.0
+        return None if contents is None else (contents, 0.0)
 
     def digest_payload(self) -> bytes:
         return bloom.encode_digest(self.cbf.seq, self.cbf.bitmap())
@@ -447,8 +445,7 @@ class Engine:
         return WireTile(tile_name, [self.co_table[name] for name in group],
                         int(self.config.tile_freshness_ms))
 
-    def _tile_response(self, interest: Interest, tile_name: TileName,
-                       seg_index: int):
+    def _tile_response(self, interest: Interest, tile_name: TileName):
         base_text = tile_name.name.text
         ok, _reason = self.trust_store.verify_tile_interest(
             interest.name, interest.payload, interest.envelope, tid=tile_name.tid)
@@ -457,9 +454,7 @@ class Engine:
             return None                          # silent drop
         cached = self._tile_cache.get(base_text)
         if cached is not None:
-            if seg_index >= len(cached):
-                return None
-            return cached[seg_index], 0.0
+            return cached, 0.0
         if not self.serves(tile_name.tile):
             return None
         tile = self.tile_query(tile_name)
@@ -468,11 +463,9 @@ class Engine:
         contents = build_segments(tile_name.name, tile.to_wire(),
                                   self.config.tile_freshness_ms, self._sign)
         self._tile_cache.put(base_text, contents)
-        if seg_index >= len(contents):
-            return None
-        return contents[seg_index], delay
+        return contents, delay
 
-    def _data_response(self, data_name: DataName, seg_index: int):
+    def _data_response(self, data_name: DataName):
         name_text = data_name.name.text
         wire = self.co_table.get(name_text)
         if wire is not None:
@@ -483,12 +476,9 @@ class Engine:
             payload, freshness = gone_wire(name_text), 0.0
         else:
             return None
-        contents = build_segments(data_name.name, payload, freshness, self._sign)
-        if seg_index >= len(contents):
-            return None
-        return contents[seg_index], 0.0
+        return build_segments(data_name.name, payload, freshness, self._sign), 0.0
 
-    def _ipres_response(self, ipres: IpResName, seg_index: int):
+    def _ipres_response(self, ipres: IpResName):
         comps = routing_prefix(ipres.tile).components
         served = next((s for s in self._served if comps[:len(s)] == s), None)
         if served is None:
@@ -497,35 +487,28 @@ class Engine:
                                   "host": self.config.host,
                                   "port": self.config.port,
                                   "prefix": Name(served).text})
-        contents = build_segments(ipres.name, payload,
-                                  self.config.ipres_freshness_ms, self._sign)
-        if seg_index >= len(contents):
-            return None
-        return contents[seg_index], 0.0
+        return build_segments(ipres.name, payload,
+                              self.config.ipres_freshness_ms, self._sign), 0.0
 
-    def handle_named_interest(self, interest: Interest):
+    def handle_named_interest(self, interest: Interest, base: Name):
         """Producer for the engine's served prefixes: tile queries, stored
         data fetches, and address resolution."""
         try:
-            parsed = parse(interest.name)
+            parsed = parse(base)
         except Exception:
             return None
-        if not isinstance(parsed, SegmentName):
-            return None
-        inner, seg_index = parsed.base, parsed.index
-        if isinstance(inner, TileName):
-            return self._tile_response(interest, inner, seg_index)
-        if isinstance(inner, DataName):
-            return self._data_response(inner, seg_index)
-        if isinstance(inner, IpResName):
-            return self._ipres_response(inner, seg_index)
+        if isinstance(parsed, TileName):
+            return self._tile_response(interest, parsed)
+        if isinstance(parsed, DataName):
+            return self._data_response(parsed)
+        if isinstance(parsed, IpResName):
+            return self._ipres_response(parsed)
         return None
 
     # -- bulk service channel ----------------------------------------------
 
-    def handle_service_interest(self, interest: Interest):
+    def handle_service_interest(self, interest: Interest, base: Name):
         """Producer for the engine's bulk channel: insert, delete, digest."""
-        base, seg_index = names.split_segment(Name.from_text(interest.name))
         base_text = base.text
         cached = self._service_cache.get(base_text)
         if cached is None:
@@ -536,9 +519,7 @@ class Engine:
                 reply = canonical_json({"error": str(exc)})
             cached = build_segments(base, reply, 0.0, self._sign)
             self._service_cache.put(base_text, cached)
-        if seg_index is None or seg_index >= len(cached):
-            return None
-        return cached[seg_index], 0.0
+        return cached, 0.0
 
     def _service_reply(self, interest: Interest, base_text: str) -> bytes:
         request = json.loads(interest.payload.decode("utf-8"))

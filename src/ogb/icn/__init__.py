@@ -3,6 +3,7 @@
 from .core import (
     ContentObject,
     ContentStore,
+    EventLoop,
     Fib,
     Future,
     Interest,
@@ -11,7 +12,7 @@ from .core import (
     build_segments,
     segment_payloads,
 )
-from .sim import EventLoop, SimNetwork, SimNode, SimSubstrate
+from .sim import SimNetwork, SimNode, SimSubstrate
 
 __all__ = [
     "ContentObject",

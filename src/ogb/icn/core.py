@@ -9,22 +9,28 @@ index so a consumer can pipeline the rest after segment 0.
 Both ends are written once, here, for both transports.  `Host` answers
 interests from its content store, PIT and producers; a transport adds its
 clock and faces, and a simulated node forwards what no producer serves.
-`GetOperation` fetches one object and `fetch_many` keeps a window of them
-in flight; a transport supplies their clock, as an event loop, and how an
-interest leaves the host, as `express` (plus `withdraw` where one can be
-taken back).  Each segment interest is retried once, each attempt waiting
-its lifetime, on either transport.
+A producer is called as `producer(interest, base)`, `base` being the name
+less its `seg=<i>`, and returns every segment of that object with a
+modeled delay, or None to hold the interest; the host answers the asked
+segment, or nothing for a name with no valid index.  `GetOperation`
+fetches one object and `fetch_many` keeps a window of them in flight; a
+transport supplies their clock, as an `EventLoop`, and how an interest
+leaves the host, as `express` (plus `withdraw` where one can be taken
+back).  Each segment interest is retried once, each attempt waiting its
+lifetime, on either transport.
 """
 
 from __future__ import annotations
 
 import contextlib
+import heapq
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from ..errors import ConfigError, NoRouteError, TimeoutError_, ValidationError
-from ..names import Name, segment_name
+from ..errors import (ConfigError, NameParseError, NoRouteError, TimeoutError_,
+                      ValidationError)
+from ..names import Name, segment_name, split_segment
 from ..trust import TrustEnvelope
 
 # Interests are small and fixed-cost on the wire; contents cost their payload.
@@ -98,6 +104,87 @@ def build_segments(base, payload: bytes, freshness_ms: float = 0.0,
         envelope = sign(name, chunk) if sign else None
         contents.append(ContentObject(name, chunk, freshness_ms, envelope, final))
     return contents
+
+
+class _Event:
+    __slots__ = ("fn", "args", "loop")
+
+    def __init__(self, fn, args, loop):
+        self.fn = fn
+        self.args = args
+        self.loop = loop             # until it runs or is cancelled
+
+    def cancel(self):
+        """Drop the callback and what it holds; a no-op once it has run."""
+        loop = self.loop
+        if loop is not None:
+            self.fn = self.args = self.loop = None
+            loop._cancelled()
+
+
+class EventLoop:
+    """A heap-driven scheduler over virtual milliseconds; a socket call
+    runs one on the wall clock.
+
+    `advance` models synchronous processing time inside a handler: it pushes
+    the clock forward without running events, so work scheduled meanwhile is
+    delivered afterwards, exactly as if the handler had been busy.
+
+    A cancelled event stays on the heap until it reaches the top or until
+    cancelled events are more than half of the heap, which is then rebuilt
+    without them; neither changes the order or the time of the rest.
+    """
+
+    def __init__(self):
+        self.now = 0.0
+        self._heap: list = []
+        self._seq = 0
+        self._ncancelled = 0
+
+    def schedule(self, delay_ms: float, fn, *args) -> _Event:
+        event = _Event(fn, args, self)
+        self._seq += 1
+        heapq.heappush(self._heap, (self.now + max(delay_ms, 0.0), self._seq, event))
+        return event
+
+    def _cancelled(self) -> None:
+        self._ncancelled += 1
+        if 2 * self._ncancelled > len(self._heap):
+            self._heap = [entry for entry in self._heap if entry[2].fn is not None]
+            heapq.heapify(self._heap)
+            self._ncancelled = 0
+
+    def advance(self, delay_ms: float) -> None:
+        self.now += max(delay_ms, 0.0)
+
+    def _step(self) -> None:
+        when, _, event = heapq.heappop(self._heap)
+        if event.fn is None:
+            self._ncancelled -= 1
+            return
+        if when > self.now:
+            self.now = when
+        event.loop = None
+        event.fn(*event.args)
+
+    def run_until(self, predicate: Callable[[], bool]) -> bool:
+        """Run events until the predicate holds; False if the heap drained."""
+        while not predicate():
+            if not self._heap:
+                return False
+            self._step()
+        return True
+
+    def run_until_idle(self, limit_ms: Optional[float] = None) -> None:
+        while self._heap and (limit_ms is None or self._heap[0][0] <= limit_ms):
+            self._step()
+
+    def clear(self) -> None:
+        """Drop every scheduled event."""
+        for _, _, event in self._heap:
+            event.loop = None
+        self._heap.clear()
+        self._ncancelled = 0
 
 
 class Fib:
@@ -236,11 +323,12 @@ class ContentStore:
 class Host:
     """Answers interests on either transport: `receive_interest` tries the
     content store, then the PIT, then the producer under the longest
-    matching prefix.  A producer returns `(content, delay_ms)`, which is
-    cached and answers every waiting face, or None to hold the entry for
-    `satisfy`.  A transport adds `now_ms` and `_deliver(content, face)`, and
-    may change what a delay means (`_answer`) and where an unserved name
-    goes (`_route`, `_forward`).  State and producers need `dispatch_lock`.
+    matching prefix.  The asked segment of what it returns is cached and
+    answers every waiting face, and its delay is charged with segment 0
+    only; with no segment, the entry is held for `satisfy`.  A transport
+    adds `now_ms` and `_deliver(content, face)`, and may change what a delay
+    means (`_answer`) and where an unserved name goes (`_route`,
+    `_forward`).  State and producers need `dispatch_lock`.
     """
 
     def __init__(self, cache_capacity: int = 0):
@@ -285,9 +373,14 @@ class Host:
                 self._forward(interest, hop)
                 return
             self.counters["producerCalls"] += 1
-            result = producer(interest)
-            if result is not None:
-                self._answer(*result)
+            try:
+                base, index = split_segment(Name.from_text(name))
+            except NameParseError:
+                return
+            result = producer(interest, base) if index is not None else None
+            if result is not None and index < len(result[0]):
+                segments, delay_ms = result
+                self._answer(segments[index], delay_ms if index == 0 else 0.0)
 
     def _answer(self, content: ContentObject, delay_ms: float) -> None:
         self.cs.put(content, self.now_ms())

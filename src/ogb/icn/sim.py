@@ -11,13 +11,13 @@ deterministic for a fixed input sequence.  A `SimNode` is the shared
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from typing import Callable, Optional
+from typing import Optional
 
 from ..errors import ConfigError
 from .core import (
     ContentObject,
+    EventLoop,
     FetchResult,
     Fib,
     Future,
@@ -28,86 +28,6 @@ from .core import (
     fetch,
     fetch_many,
 )
-
-
-class _Event:
-    __slots__ = ("fn", "args", "loop")
-
-    def __init__(self, fn, args, loop):
-        self.fn = fn
-        self.args = args
-        self.loop = loop             # until it runs or is cancelled
-
-    def cancel(self):
-        """Drop the callback and what it holds; a no-op once it has run."""
-        loop = self.loop
-        if loop is not None:
-            self.fn = self.args = self.loop = None
-            loop._cancelled()
-
-
-class EventLoop:
-    """A heap-driven scheduler over virtual milliseconds.
-
-    `advance` models synchronous processing time inside a handler: it pushes
-    the clock forward without running events, so work scheduled meanwhile is
-    delivered afterwards, exactly as if the handler had been busy.
-
-    A cancelled event stays on the heap until it reaches the top or until
-    cancelled events are more than half of the heap, which is then rebuilt
-    without them; neither changes the order or the time of the rest.
-    """
-
-    def __init__(self):
-        self.now = 0.0
-        self._heap: list = []
-        self._seq = 0
-        self._ncancelled = 0
-
-    def schedule(self, delay_ms: float, fn, *args) -> _Event:
-        event = _Event(fn, args, self)
-        self._seq += 1
-        heapq.heappush(self._heap, (self.now + max(delay_ms, 0.0), self._seq, event))
-        return event
-
-    def _cancelled(self) -> None:
-        self._ncancelled += 1
-        if 2 * self._ncancelled > len(self._heap):
-            self._heap = [entry for entry in self._heap if entry[2].fn is not None]
-            heapq.heapify(self._heap)
-            self._ncancelled = 0
-
-    def advance(self, delay_ms: float) -> None:
-        self.now += max(delay_ms, 0.0)
-
-    def _step(self) -> None:
-        when, _, event = heapq.heappop(self._heap)
-        if event.fn is None:
-            self._ncancelled -= 1
-            return
-        if when > self.now:
-            self.now = when
-        event.loop = None
-        event.fn(*event.args)
-
-    def run_until(self, predicate: Callable[[], bool]) -> bool:
-        """Run events until the predicate holds; False if the heap drained."""
-        while not predicate():
-            if not self._heap:
-                return False
-            self._step()
-        return True
-
-    def run_until_idle(self, limit_ms: Optional[float] = None) -> None:
-        while self._heap and (limit_ms is None or self._heap[0][0] <= limit_ms):
-            self._step()
-
-    def clear(self) -> None:
-        """Drop every scheduled event."""
-        for _, _, event in self._heap:
-            event.loop = None
-        self._heap.clear()
-        self._ncancelled = 0
 
 
 class SimLink:

@@ -36,9 +36,8 @@ from typing import Callable, Optional
 
 from ..errors import ProtocolError
 from . import wire
-from .core import (ContentObject, FetchResult, Fib, Host, Interest, Pit,
-                   fetch, fetch_many)
-from .sim import EventLoop
+from .core import (ContentObject, EventLoop, FetchResult, Fib, Host, Interest,
+                   Pit, fetch, fetch_many)
 
 log = logging.getLogger(__name__)
 

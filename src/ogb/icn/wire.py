@@ -12,7 +12,8 @@ import json
 import struct
 from typing import Optional
 
-from ..errors import ProtocolError
+from ..errors import NameParseError, ProtocolError
+from ..names import Name
 from ..trust import TrustEnvelope
 from .core import ContentObject, Interest
 
@@ -78,15 +79,21 @@ def interest_message(interest: Interest, nonce: int) -> dict:
 
 
 def parse_interest(message: dict) -> Interest:
+    """The interest a frame carries; its name must parse, as a host's FIB
+    lookup parses it."""
     try:
+        name = message["name"]
+        if not isinstance(name, str):
+            raise TypeError("name %r is not a string" % (name,))
+        Name.from_text(name)
         return Interest(
-            name=message["name"],
+            name=name,
             payload=base64.b64decode(message.get("payloadBase64", "")),
             envelope=(TrustEnvelope.from_dict(message["signature"])
                       if "signature" in message else None),
             lifetime_ms=message.get("lifetimeMs"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, NameParseError) as exc:
         raise ProtocolError("malformed interest frame: %s" % exc) from None
 
 

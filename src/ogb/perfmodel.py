@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy
 
 from .errors import CalibrationError, ConfigError
 from .icn.core import build_segments
 from .icn.sim import SimNetwork, SimSubstrate
-from .names import Name, split_segment
 
 DEFAULT_C1_MS = 3.0
 DEFAULT_C2_MS = 0.008
@@ -227,17 +227,10 @@ class BenchScenario:
             return cls.from_dict(json.load(handle))
 
 
-def _bench_producer(payload: bytes, delay_ms: float, calls=None):
-    def produce(interest):
-        base, index = split_segment(Name.from_text(interest.name))
+def _bench_producer(payload: bytes, delay_ms: float):
+    def produce(interest, base):
         fresh = (_WARM_FRESHNESS_MS if base.components[-1] == "warm" else 0.0)
-        segments = build_segments(base, payload, freshness_ms=fresh)
-        index = index or 0
-        if index >= len(segments):
-            return None
-        if calls is not None and index == 0:
-            calls[0] += 1
-        return segments[index], (delay_ms if index == 0 else 0.0)
+        return build_segments(base, payload, freshness_ms=fresh), delay_ms
 
     return produce
 
@@ -257,13 +250,12 @@ def _simulate_batch(params: ModelParams, stats: Optional[dict] = None) -> float:
                     bandwidth_mbps=params.bw_bits_per_s / 1e6)
     payload = b"\x00" * int(round(params.ni * params.ds_bytes))
     engine_delay = params.pdb * tq_processing(params)
-    calls = [0]
     for index in range(params.ndb):
         node_id = "db%d" % index
         node = network.add_node(node_id, cache_capacity=4)
         network.connect(node_id, "switch")
         node.attach_producer("ndn:/bench/%d" % index,
-                             _bench_producer(payload, engine_delay, calls))
+                             _bench_producer(payload, engine_delay))
     for index in range(params.ndb):
         network.announce("ndn:/bench/%d" % index, "db%d" % index)
     substrate = SimSubstrate(network, handler)
@@ -277,7 +269,8 @@ def _simulate_batch(params: ModelParams, stats: Optional[dict] = None) -> float:
             if isinstance(result, Exception):
                 raise result
 
-    calls_before = calls[0]
+    for node in network.nodes.values():
+        node.counters.clear()                 # count the batch alone
     started = substrate.now_ms()
     substrate.advance(params.c3_ms)
     handler_share = params.pqh * tq_processing(params)
@@ -296,7 +289,8 @@ def _simulate_batch(params: ModelParams, stats: Optional[dict] = None) -> float:
                 raise result
         substrate.advance(count * handler_share)
     if stats is not None:
-        stats["producerCalls"] = calls[0] - calls_before
+        stats["producerCalls"] = sum(node.counters["producerCalls"]
+                                     for node in network.nodes.values())
     return substrate.now_ms() - started
 
 

@@ -230,7 +230,7 @@ def test_04_routing_exclusivity(tmp_path):
     cluster.network.loop.run_until_idle()
     for engine in cluster.engines.values():
         engine.reset_counters()
-    for node in cluster.engine_nodes.values():
+    for node in cluster.servers.values():
         node.counters.clear()
 
     def responsible(tile):
@@ -256,7 +256,7 @@ def test_04_routing_exclusivity(tmp_path):
             delta = engine.processed_queries - before[eid]
             assert delta == (1 if eid == expected else 0), (name, eid)
         sent += 1
-    arrivals = {eid: cluster.engine_nodes[eid].counters["interestsIn"]
+    arrivals = {eid: cluster.servers[eid].counters["interestsIn"]
                 for eid in cluster.engines}
     assert sum(arrivals.values()) == 1000
     assert all(e.rejected_interests == 0 for e in cluster.engines.values())
@@ -532,10 +532,10 @@ def test_10_storage_once_and_dedup(tmp_path, monkeypatch):
     data_fetches = [0]
     named = Engine.handle_named_interest
 
-    def counting(engine, interest):
+    def counting(engine, interest, base):
         if "/DATA/" in interest.name:
             data_fetches[0] += 1
-        return named(engine, interest)
+        return named(engine, interest, base)
 
     # Producers are bound when the cluster is assembled, so wrap them first.
     monkeypatch.setattr(Engine, "handle_named_interest", counting)

@@ -164,7 +164,7 @@ def test_tile_queries_hit_exactly_one_engine():
     cluster.reset_counters()
 
     tile_get(cluster, east_items[2].name.tile, alice)
-    east, west = cluster.engine_nodes["east"], cluster.engine_nodes["west"]
+    east, west = cluster.servers["east"], cluster.servers["west"]
     assert east.counters["interestsIn"] == 1
     assert west.counters["interestsIn"] == 0
 
@@ -210,7 +210,7 @@ def test_forged_publications_are_rejected_and_the_feed_recovers():
 
     # Sent toward the engine's forwarder, a forgery is unsolicited there: it
     # is not cached, so it cannot answer the server's next subscription.
-    engine_node = cluster.engine_nodes["east"]
+    engine_node = cluster.servers["east"]
     forged = bad_publications(east, forger, prefixes)[0]
     engine_node.receive_content(forged, ("node", SWITCH_ID))
     assert engine_node.counters["unsolicited"] == 1

@@ -31,7 +31,8 @@ from ogb.geodata import (
 )
 from ogb.grid import TileId
 from ogb.icn.core import SEGMENT_SIZE, Interest
-from ogb.names import DataName, IpResName, TileName, segment_name, tile_prefix
+from ogb.names import (DataName, IpResName, Name, TileName, segment_name,
+                       split_segment, tile_prefix)
 
 from conftest import starbucks_dict
 
@@ -56,6 +57,17 @@ def signed_items(feature_dict, keyring, freshness_ms=60000):
         item.signature = trust.sign_envelope(kp, cert, item.name.name.text,
                                              item.signed_payload())
     return items
+
+
+def ask(producer, interest):
+    """The segment `interest` names, from what `producer` returns for its
+    object as a host calls it, and the delay the producer reported."""
+    base, index = split_segment(Name.from_text(interest.name))
+    result = producer(interest, base)
+    if result is None:
+        return None
+    segments, delay = result
+    return segments[index], delay
 
 
 def tile_interest(keyring, tile, tid="Foo", cid="ShopApp", uid="Alice",
@@ -195,7 +207,7 @@ def test_named_interest_tile_roundtrip(keyring, starbucks):
     eng.bulk_insert(items)
 
     interest = tile_interest(keyring, L2)
-    content, delay = eng.handle_named_interest(interest)
+    content, delay = ask(eng.handle_named_interest, interest)
     assert content.name == interest.name
     assert content.final_segment == 0
     assert delay == pytest.approx(3.0 + 0.008)
@@ -218,11 +230,12 @@ def test_processing_delay_scales_with_item_count(keyring):
         eng.bulk_insert(signed_items(shop(10000 + i, coords), keyring))
     assert eng.item_count == 300
 
-    content, delay = eng.handle_named_interest(tile_interest(keyring, L2))
+    content, delay = ask(eng.handle_named_interest, tile_interest(keyring, L2))
     assert delay == pytest.approx(3.0 + 0.008 * 100)
     chunks = [content.payload]
     for seg in range(1, content.final_segment + 1):
-        nxt, seg_delay = eng.handle_named_interest(tile_interest(keyring, L2, seg=seg))
+        nxt, seg_delay = ask(eng.handle_named_interest,
+                             tile_interest(keyring, L2, seg=seg))
         assert seg_delay == 0.0
         chunks.append(nxt.payload)
     assert eng.processed_queries == 1
@@ -234,12 +247,13 @@ def test_unauthorized_tile_interest_dropped_silently(keyring, starbucks):
     eng = make_engine(keyring)
     eng.bulk_insert(signed_items(starbucks, keyring))
 
-    assert eng.handle_named_interest(tile_interest(keyring, L2, signer=eve)) is None
+    assert ask(eng.handle_named_interest,
+               tile_interest(keyring, L2, signer=eve)) is None
     assert eng.rejected_interests == 1
     assert eng.processed_queries == 0
 
     unsigned = Interest(segment_name(TileName(L2, "Foo", "ShopApp").name, 0).text)
-    assert eng.handle_named_interest(unsigned) is None
+    assert ask(eng.handle_named_interest, unsigned) is None
     assert eng.rejected_interests == 2
 
 
@@ -247,14 +261,14 @@ def test_tile_cache_hit_and_write_invalidation(keyring, starbucks):
     eng = make_engine(keyring)
     eng.bulk_insert(signed_items(starbucks, keyring))
 
-    first, d1 = eng.handle_named_interest(tile_interest(keyring, L2))
-    again, d2 = eng.handle_named_interest(tile_interest(keyring, L2))
+    first, d1 = ask(eng.handle_named_interest, tile_interest(keyring, L2))
+    again, d2 = ask(eng.handle_named_interest, tile_interest(keyring, L2))
     assert eng.processed_queries == 1
     assert d1 > 0 and d2 == 0.0
     assert again.payload == first.payload
 
     eng.bulk_insert(signed_items(shop(55), keyring))
-    after, d3 = eng.handle_named_interest(tile_interest(keyring, L2))
+    after, d3 = ask(eng.handle_named_interest, tile_interest(keyring, L2))
     assert eng.processed_queries == 2
     assert d3 > 0
     assert after.payload != first.payload
@@ -309,11 +323,12 @@ def test_data_fetch_serves_stored_wire(keyring, starbucks, tmp_path):
 
     inline = items[2]
     interest = Interest(segment_name(inline.name.name, 0).text)
-    content, delay = eng.handle_named_interest(interest)
+    content, delay = ask(eng.handle_named_interest, interest)
     assert delay == 0.0
     assert content.payload == inline.to_wire()
     assert content.freshness_ms == 1234.0
-    reborn, _ = make_engine(keyring, storage_dir=tmp_path / "e1").handle_named_interest(interest)
+    reborn_engine = make_engine(keyring, storage_dir=tmp_path / "e1")
+    reborn, _ = ask(reborn_engine.handle_named_interest, interest)
     assert (reborn.payload, reborn.freshness_ms) == (content.payload, 1234.0)
     assert OgbData.from_wire(content.payload).signature == inline.signature
     assert eng.processed_queries == 0
@@ -321,7 +336,7 @@ def test_data_fetch_serves_stored_wire(keyring, starbucks, tmp_path):
     # A name it serves but does not hold: a signed "gone" reply that no
     # content store keeps.  A name it does not serve: no reply.
     ghost = segment_name(inline.name.name, 0).text.replace("1234", "777")
-    gone, delay = eng.handle_named_interest(Interest(ghost))
+    gone, delay = ask(eng.handle_named_interest, Interest(ghost))
     assert delay == 0.0 and gone.freshness_ms == 0.0
     assert is_gone(gone.payload)
     assert json.loads(gone.payload) == {"gone": ghost[:-len("/seg=0")]}
@@ -329,13 +344,13 @@ def test_data_fetch_serves_stored_wire(keyring, starbucks, tmp_path):
     assert ok, reason
     elsewhere = segment_name(DataName(TileId(50, 50), "Foo", "ShopApp", "Alice", "1"
                                       ).name, 0).text
-    assert eng.handle_named_interest(Interest(elsewhere)) is None
+    assert ask(eng.handle_named_interest, Interest(elsewhere)) is None
 
 
 def test_ipres_reports_engine_address(keyring):
     eng = make_engine(keyring, host="127.0.0.1", port=7001)
     interest = Interest(segment_name(IpResName(L2).name, 0).text)
-    content, delay = eng.handle_named_interest(interest)
+    content, delay = ask(eng.handle_named_interest, interest)
     assert json.loads(content.payload) == {
         "engineId": "e1", "host": "127.0.0.1", "port": 7001,
         "prefix": "ndn:/OGB/12/41",
@@ -343,7 +358,7 @@ def test_ipres_reports_engine_address(keyring):
     assert delay == 0.0
 
     elsewhere = Interest(segment_name(IpResName(TileId(50, 50)).name, 0).text)
-    assert eng.handle_named_interest(elsewhere) is None
+    assert ask(eng.handle_named_interest, elsewhere) is None
 
 
 def test_restart_replays_log_byte_identically(keyring, starbucks, tmp_path):
@@ -358,8 +373,8 @@ def test_restart_replays_log_byte_identically(keyring, starbucks, tmp_path):
     assert reborn.cbf.seq == eng.cbf.seq
     assert reborn.log_records == 3
 
-    old, _ = eng.handle_named_interest(tile_interest(keyring, L2))
-    new, _ = reborn.handle_named_interest(tile_interest(keyring, L2))
+    old, _ = ask(eng.handle_named_interest, tile_interest(keyring, L2))
+    new, _ = ask(reborn.handle_named_interest, tile_interest(keyring, L2))
     assert new.payload == old.payload
 
 
@@ -643,7 +658,7 @@ def test_bf_publication_log_serves_by_seq(keyring, starbucks):
     assert [p.seq for p in chunk] == list(range(eng.cbf.seq))
 
     name = bloom.publication_name("e1", chunk[0].seq) + "/seg=0"
-    content, delay = eng.handle_bf_interest(Interest(name))
+    content, delay = ask(eng.handle_bf_interest, Interest(name))
     assert delay == 0.0
     assert content == published[0]
     assert bloom.decode_publication(content.payload) == chunk
@@ -652,9 +667,9 @@ def test_bf_publication_log_serves_by_seq(keyring, starbucks):
     assert ok, reason
 
     unborn = bloom.publication_name("e1", 9999) + "/seg=0"
-    assert eng.handle_bf_interest(Interest(unborn)) is None
+    assert ask(eng.handle_bf_interest, Interest(unborn)) is None
     inside = bloom.publication_name("e1", chunk[1].seq) + "/seg=0"
-    assert eng.handle_bf_interest(Interest(inside)) is None
+    assert ask(eng.handle_bf_interest, Interest(inside)) is None
 
 
 def inline_items_setting_new_buckets(keyring, count, seen, start):
@@ -689,7 +704,7 @@ def test_one_signed_publication_per_publication_max_transitions(keyring, monkeyp
         first_seq = eng.cbf.seq
         published.clear()
         signs.clear()
-        reply, _ = eng.handle_service_interest(service_interest(
+        reply, _ = ask(eng.handle_service_interest, service_interest(
             "e1", nonce, {"op": "insert", "items": [i.to_dict() for i in items]}))
         assert eng.cbf.seq - first_seq == count
         assert len(published) == expected
@@ -723,22 +738,25 @@ def test_service_channel_insert_digest_status(keyring, starbucks):
     items = signed_items(starbucks, keyring)
 
     req = {"op": "insert", "items": [it.to_dict() for it in items]}
-    content, _ = eng.handle_service_interest(service_interest("e1", 1, req))
+    content, _ = ask(eng.handle_service_interest, service_interest("e1", 1, req))
     reply = json.loads(content.payload)
     assert [s["status"] for s in reply["statuses"]] == [ACCEPTED] * 3
     assert eng.item_count == 3
 
-    content, _ = eng.handle_service_interest(service_interest("e1", 2, {"op": "digest"}))
+    content, _ = ask(eng.handle_service_interest,
+                     service_interest("e1", 2, {"op": "digest"}))
     seq, bitmap = bloom.decode_digest(content.payload)
     assert seq == eng.cbf.seq
     assert bitmap == eng.cbf.bitmap()
 
-    content, _ = eng.handle_service_interest(service_interest("e1", 3, {"op": "status"}))
+    content, _ = ask(eng.handle_service_interest,
+                     service_interest("e1", 3, {"op": "status"}))
     status = json.loads(content.payload)
     assert status["engineId"] == "e1"
     assert status["items"] == 3
 
-    content, _ = eng.handle_service_interest(service_interest("e1", 4, {"op": "nope"}))
+    content, _ = ask(eng.handle_service_interest,
+                     service_interest("e1", 4, {"op": "nope"}))
     assert "error" in json.loads(content.payload)
 
 
@@ -748,16 +766,16 @@ def test_service_channel_delete_requires_signer(keyring, starbucks):
     eng.bulk_insert(items)
     texts = [it.name.name.text for it in items]
 
-    content, _ = eng.handle_service_interest(
-        service_interest("e1", 1, {"op": "delete", "names": texts}))
+    content, _ = ask(eng.handle_service_interest, service_interest(
+        "e1", 1, {"op": "delete", "names": texts}))
     reply = json.loads(content.payload)
     assert all(s["status"] == REJECTED and s["reason"] == "identity-rule"
                for s in reply["statuses"])
     assert eng.item_count == 3
 
     alice = keyring.user("Foo", "Alice")
-    content, _ = eng.handle_service_interest(
-        service_interest("e1", 2, {"op": "delete", "names": texts}, envelope_from=alice))
+    content, _ = ask(eng.handle_service_interest, service_interest(
+        "e1", 2, {"op": "delete", "names": texts}, envelope_from=alice))
     reply = json.loads(content.payload)
     assert [s["status"] for s in reply["statuses"]] == [ACCEPTED] * 3
     assert eng.item_count == 0
@@ -772,9 +790,9 @@ def test_service_replies_are_replayed_not_reapplied(keyring, starbucks):
     interest = service_interest("e1", 7, {"op": "delete",
                                           "names": [items[0].name.name.text]},
                                 envelope_from=alice)
-    first, _ = eng.handle_service_interest(interest)
+    first, _ = ask(eng.handle_service_interest, interest)
     assert json.loads(first.payload)["statuses"][0]["status"] == ACCEPTED
 
-    again, _ = eng.handle_service_interest(interest)
+    again, _ = ask(eng.handle_service_interest, interest)
     assert again.payload == first.payload
     assert eng.item_count == 2

@@ -22,7 +22,6 @@ from ogb.icn import (
 from ogb.icn.core import PIT_SWEEP_MIN
 from ogb.icn.sim import LOCAL
 from ogb.icn.sockets import ContentServer, SocketSubstrate
-from ogb.names import Name, split_segment
 
 
 def test_event_loop_orders_and_advances():
@@ -144,10 +143,8 @@ def line_network(producer_fn, cache_capacity=64, bandwidth=None):
 
 
 def chunked_producer(payload, freshness_ms=60000.0, delay_ms=0.0):
-    def handler(interest):
-        base, index = split_segment(Name.from_text(interest.name))
-        contents = build_segments(base, payload, freshness_ms)
-        return contents[index], (delay_ms if index == 0 else 0.0)
+    def handler(interest, base):
+        return build_segments(base, payload, freshness_ms), delay_ms
     return handler
 
 
@@ -174,6 +171,14 @@ def test_link_serialization_timing():
     assert net.loop.now == pytest.approx(tx_interest + 3.8 + tx_content)
 
 
+def test_the_delay_is_charged_with_segment_0_only():
+    # The producer reports its delay on every call; the host charges it once.
+    net, sub, producer = line_network(chunked_producer(b"y" * 20000, delay_ms=5.0))
+    assert len(sub.get("ndn:/OGB-SYS/svc/blob").segments) == 3
+    assert producer.counters["producerCalls"] == 3
+    assert net.loop.now == pytest.approx(5.0)
+
+
 def test_no_route_is_immediate():
     net = SimNetwork()
     consumer = net.add_node("consumer")
@@ -187,12 +192,11 @@ def test_no_route_is_immediate():
 def test_retry_then_success():
     calls = []
 
-    def flaky(interest):
+    def flaky(interest, base):
         calls.append(interest.name)
         if len(calls) == 1:
             return None                        # hold the PIT, never answer
-        base, index = split_segment(Name.from_text(interest.name))
-        return build_segments(base, b"ok", 0.0)[index], 0.0
+        return build_segments(base, b"ok", 0.0), 0.0
 
     net, sub, _ = line_network(flaky)
     result = sub.get("ndn:/OGB-SYS/svc/x", lifetime_ms=10.0)
@@ -202,7 +206,7 @@ def test_retry_then_success():
 
 
 def test_timeout_after_retry():
-    net, sub, _ = line_network(lambda interest: None)
+    net, sub, _ = line_network(lambda interest, base: None)
     with pytest.raises(TimeoutError_):
         sub.get("ndn:/OGB-SYS/svc/x", lifetime_ms=10.0)
     assert net.loop.now == pytest.approx(20.0)
@@ -219,7 +223,7 @@ def test_fetches_leave_no_cancelled_timeouts_behind():
 def test_pit_hold_until_publish():
     held = []
 
-    def subscription(interest):
+    def subscription(interest, base):
         held.append(interest.name)
         return None
 
@@ -260,9 +264,8 @@ def test_announce_reaches_all_nodes():
 
 
 def answering(payload):
-    def producer(interest):
-        base, seg = split_segment(Name.from_text(interest.name))
-        return build_segments(base, payload)[seg], 0.0
+    def producer(interest, base):
+        return build_segments(base, payload), 0.0
     return producer
 
 
@@ -416,12 +419,11 @@ def recording(calls, body=lambda base: b"ok", held=(), freshness_ms=0.0):
     """Answers each segment of `body(base name)` and records every interest's
     name; holds (never answers) the calls whose 1-based ordinal is in
     `held`, and every call for a name under ndn:/svc/held."""
-    def producer(interest):
+    def producer(interest, base):
         calls.append(interest.name)
-        base, seg = split_segment(Name.from_text(interest.name))
         if len(calls) in held or base.text.startswith("ndn:/svc/held"):
             return None
-        return build_segments(base, body(base), freshness_ms)[seg], 0.0
+        return build_segments(base, body(base), freshness_ms), 0.0
     return producer
 
 
@@ -559,8 +561,20 @@ def test_content_pushed_to_nobody_is_not_cached(host_of):
     assert calls == ["ndn:/svc/x/seg=0"]
 
 
+def test_the_host_answers_only_a_segment_the_object_has(host_of):
+    calls = []
+    rig = host_of(recording(calls))                 # one segment each
+    face = rig.face()
+    for name in ("ndn:/svc/x", "ndn:/svc/x/seg=zz", "ndn:/svc/x/seg=-1",
+                 "ndn:/svc/x/seg=1"):
+        rig.host.receive_interest(Interest(name, lifetime_ms=60000.0), face)
+    assert calls == ["ndn:/svc/x/seg=1"]    # only a parsed index reaches it
+    assert rig.host.counters["satisfied"] == 0
+    assert len(rig.host.pit) == 4           # each is held, none raised
+
+
 def test_pit_sweeps_expired_entries_but_keeps_subscriptions():
-    net, sub, producer = line_network(lambda interest: None)
+    net, sub, producer = line_network(lambda interest, base: None)
     subscription = sub.get_async("ndn:/OGB-SYS/svc/updates/1", lifetime_ms=None)
     results = sub.get_many([{"name": "ndn:/OGB-SYS/svc/x/%d" % i,
                              "lifetime_ms": 10.0} for i in range(200)])

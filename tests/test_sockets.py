@@ -18,9 +18,10 @@ from ogb.frontend import Credentials, InsertHandler, QueryHandler, RangeQuery
 from ogb.geodata import canonical_json, make_ogb_data_set, parse_feature
 from ogb.grid import BoundingBox
 from ogb.icn import wire
-from ogb.icn.core import PIT_SWEEP_MIN, ContentObject, Interest, build_segments
+from ogb.icn.core import (DEFAULT_LIFETIME_MS, PIT_SWEEP_MIN, ContentObject,
+                          Interest, build_segments)
 from ogb.icn.sockets import ContentServer, SocketSubstrate
-from ogb.names import Name, split_segment, tile_prefix
+from ogb.names import tile_prefix
 from ogb.trust import TrustEnvelope
 
 from conftest import bad_publications, starbucks_dict
@@ -62,19 +63,18 @@ def test_wire_rejects_garbage():
         wire.read_frame(_FakeSock(b"\xff\xff\xff\xff"))
     with pytest.raises(ProtocolError):
         wire.read_frame(_FakeSock(b"\x00\x00\x00\x02[]"))
+    for name in ("no-scheme", "ndn:/", "ndn:/a//b", 7, None):
+        with pytest.raises(ProtocolError):
+            wire.parse_interest({"type": "interest", "name": name, "nonce": 1})
 
 
 def echo_server():
     server = ContentServer(cache_capacity=8)
     calls = {"count": 0}
 
-    def producer(interest):
+    def producer(interest, base):
         calls["count"] += 1
-        base, seg = split_segment(Name.from_text(interest.name))
-        segments = build_segments(base, b"pong" * 6000, freshness_ms=60000.0)
-        if seg is None or seg >= len(segments):
-            return None
-        return segments[seg], 0.0
+        return build_segments(base, b"pong" * 6000, freshness_ms=60000.0), 0.0
 
     server.attach_producer("ndn:/echo", producer)
     server.start()
@@ -100,6 +100,37 @@ def test_segmented_fetch_and_server_cache():
         server.stop()
 
 
+def test_a_bad_interest_name_kills_no_server_thread(monkeypatch):
+    uncaught = []
+    monkeypatch.setattr(threading, "excepthook", uncaught.append)
+    server, _ = echo_server()
+    before = set(threading.enumerate())
+    try:
+        socks = []
+        for name in ("no-scheme", "ndn:/echo/x/seg=zz"):
+            sock = socket.create_connection(server.address)
+            socks.append(sock)
+            assert wire.read_frame(sock)["type"] == wire.TYPE_ANNOUNCE
+            wire.write_frame(sock, {"type": "interest", "name": name, "nonce": 1})
+        # A name that is not a name closes its connection; a bad segment
+        # index is held, and the connection still serves.
+        assert wire.read_frame(socks[0]) is None
+        wire.write_frame(socks[1], wire.interest_message(
+            Interest("ndn:/echo/x/seg=0"), nonce=2))
+        assert wire.read_frame(socks[1])["name"] == "ndn:/echo/x/seg=0"
+        for sock in socks:
+            sock.close()
+        client = SocketSubstrate([server.address])
+        assert client.get("ndn:/echo/a").payload == b"pong" * 6000
+        client.close()
+        for thread in set(threading.enumerate()) - before:
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+        assert uncaught == []
+    finally:
+        server.stop()
+
+
 def test_connections_set_tcp_nodelay():
     server, _ = echo_server()
     try:
@@ -117,7 +148,7 @@ def test_connections_set_tcp_nodelay():
 def test_modeled_delay_is_not_slept_over_sockets():
     server = ContentServer()
     content = build_segments("ndn:/slow/a", b"done", 1000.0)[0]
-    server.attach_producer("ndn:/slow", lambda interest: (content, 5000.0))
+    server.attach_producer("ndn:/slow", lambda interest, base: ([content], 5000.0))
     server.start()
     try:
         client = SocketSubstrate([server.address])
@@ -205,13 +236,12 @@ def dropping_server(drops):
     server = ContentServer()
     calls = {"seg1": 0}
 
-    def producer(interest):
-        base, seg = split_segment(Name.from_text(interest.name))
-        if seg == 1:
+    def producer(interest, base):
+        if interest.name.endswith("/seg=1"):
             calls["seg1"] += 1
             if calls["seg1"] <= drops:
                 return None
-        return build_segments(base, b"ping" * 6000, 60000.0)[seg], 0.0
+        return build_segments(base, b"ping" * 6000, 60000.0), 0.0
 
     server.attach_producer("ndn:/lossy", producer)
     server.start()
@@ -245,7 +275,7 @@ def test_a_fetch_fails_once_its_retries_run_out():
 
 def test_a_server_forgets_the_interests_it_held():
     server = ContentServer()
-    server.attach_producer("ndn:/hold", lambda interest: None)
+    server.attach_producer("ndn:/hold", lambda interest, base: None)
     server.start()
     try:
         subscriber = SocketSubstrate([server.address])
@@ -575,14 +605,16 @@ def deploy(mode, storage):
     return cluster, qh, ih, close
 
 
+# A second feature in the tile of WORLD[0].
+NEIGHBOUR = dict(WORLD[0], properties=dict(WORLD[0]["properties"], oid=77))
+
+
 def check_flush_caches_shows_a_later_insert(mode, storage):
     cluster, qh, ih, close = deploy(mode, storage)
     try:
         assert ih.insert(WORLD[0]).all_accepted
         assert len(run_queries(qh)[1]) == 1
-        neighbour = dict(WORLD[0], properties=dict(WORLD[0]["properties"],
-                                                   oid=77))
-        assert ih.insert(neighbour).all_accepted
+        assert ih.insert(NEIGHBOUR).all_accepted
         # The listing is still served from the engine host's content store.
         assert len(run_queries(qh)[1]) == 1
         cluster.flush_caches()
@@ -634,3 +666,31 @@ def test_socket_snapshot_folds_the_log(tmp_path):
 
 def test_sim_snapshot_folds_the_log(tmp_path):
     check_snapshot_folds_the_log("sim", tmp_path / "storage")
+
+
+def test_sim_a_stale_listing_lasts_only_its_freshness(tmp_path):
+    cluster, qh, ih, close = deploy("sim", tmp_path / "storage")
+    try:
+        assert ih.insert(WORLD[0]).all_accepted
+        assert len(run_queries(qh)[1]) == 1
+        assert ih.insert(NEIGHBOUR).all_accepted
+        assert len(run_queries(qh)[1]) == 1       # the cached listing
+        cluster.substrate.advance(cluster.config.engines[0].tile_freshness_ms)
+        assert len(run_queries(qh)[1]) == 2
+    finally:
+        close()
+
+
+@pytest.mark.parametrize("mode", ["sim", "socket"])
+def test_an_unknown_certificate_is_answered_at_once(mode, tmp_path):
+    cluster, qh, _, close = deploy(mode, tmp_path / "storage")
+    try:
+        fetch = network_cert_fetcher(qh.substrate)
+        name = trust.cert_name(trust.user_identity("Foo", "Nobody"))
+        started = qh.substrate.now_ms()
+        assert fetch(name) is None
+        assert qh.substrate.now_ms() - started < DEFAULT_LIFETIME_MS
+        _, cert = cluster.issue_user("Foo", "Nobody")
+        assert fetch(name) == cert.to_wire()
+    finally:
+        close()
