@@ -117,7 +117,7 @@ def _open_session(config: ClusterConfig, tid: str, uid: str):
     kp, cert = keystore.user(tid, uid)
     credentials = Credentials(tid, uid, kp, cert)
     substrate, fetcher, close = _open_substrate(config, keystore)
-    store = trust.TrustStore(anchor, rules=config.rules, fetcher=fetcher)
+    store = trust.TrustStore(anchor, fetcher=fetcher)
     return substrate, store, credentials, close
 
 

@@ -1,6 +1,11 @@
 """Cluster assembly: configuration, key material, certificate distribution,
 and the deployments behind the CLI and the test suite.
 
+The `KeyStore` is the one certificate directory.  `CertRepo` answers every
+certificate lookup through it, for the network and for the trust stores of
+the engines and the Bloom feed alike, so a certificate issued by another
+process on the same `keysDir` resolves everywhere as soon as its file exists.
+
 `_Cluster` assembles a deployment once for both transports: the keys and
 certificates, the engines, the Bloom filter server and the `FilterFeed` that
 keeps it in step with every engine, plus `issue_user`, `flush_caches`,
@@ -40,7 +45,7 @@ from .geodata import canonical_json, gone_wire, is_gone
 from .icn.core import build_segments
 from .icn.sim import SimNetwork, SimSubstrate
 from .icn.sockets import ContentServer, SocketSubstrate
-from .names import SCHEME, SYSTEM_ROOT, Name
+from .names import SCHEME, SYSTEM_ROOT, Name, is_identifier
 
 log = logging.getLogger(__name__)
 
@@ -101,7 +106,6 @@ class ClusterConfig:
     cert_port: int = 0
     handler_bandwidth_mbps: Optional[float] = 200.0
     link_latency_ms: float = 0.0
-    rules: trust.ValidatorRules = field(default_factory=trust.ValidatorRules)
 
     def validate(self) -> None:
         if self.mode not in ("sim", "socket"):
@@ -119,9 +123,10 @@ class ClusterConfig:
         _integer(self.bf_h, "bfServer.h", 1)
         if self.handler_bandwidth_mbps is not None:
             # Zero would divide by zero in the link model.
-            _number(self.handler_bandwidth_mbps, "topology.handlerLinkMbps",
-                    positive=True)
-        _number(self.link_latency_ms, "topology.latencyMs")
+            self.handler_bandwidth_mbps = _number(
+                self.handler_bandwidth_mbps, "topology.handlerLinkMbps",
+                positive=True)
+        self.link_latency_ms = _number(self.link_latency_ms, "topology.latencyMs")
         if not self.engines:
             raise ConfigError("no engines configured")
         ids = [e.engine_id for e in self.engines]
@@ -171,7 +176,6 @@ class ClusterConfig:
                 "handlerLinkMbps": self.handler_bandwidth_mbps,
                 "latencyMs": self.link_latency_ms,
             },
-            "trustRules": self.rules.to_config(),
         }
         if self.seed is not None:
             d["seed"] = self.seed
@@ -191,13 +195,14 @@ class ClusterConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ClusterConfig":
         data = _object(data, "config")
+        if "trustRules" in data:
+            raise ConfigError("trustRules is not supported: the signing rules "
+                              "are fixed")
         bf = data.get("bfServer")
         if bf is not None:
             _object(bf, "bfServer")
-        bf_m = _integer(bf.get("m", bloom.DEFAULT_M) if bf else bloom.DEFAULT_M,
-                        "bfServer.m", 1)
-        bf_h = _integer(bf.get("h", bloom.DEFAULT_H) if bf else bloom.DEFAULT_H,
-                        "bfServer.h", 1)
+        bf_m = bf.get("m", bloom.DEFAULT_M) if bf else bloom.DEFAULT_M
+        bf_h = bf.get("h", bloom.DEFAULT_H) if bf else bloom.DEFAULT_H
         defaults = _object(data.get("defaults", {}), "defaults")
         entries = data.get("engines", [])
         if not isinstance(entries, list):
@@ -206,7 +211,6 @@ class ClusterConfig:
                                "engines[%d]" % i, bf_m, bf_h)
                    for i, e in enumerate(entries)]
         topology = _object(data.get("topology", {}), "topology")
-        bandwidth = topology.get("handlerLinkMbps", 200.0)
         config = cls(
             mode=data.get("mode", "sim"),
             seed=data.get("seed"),
@@ -216,12 +220,8 @@ class ClusterConfig:
             bf_enabled=bf is not None,
             bf_m=bf_m,
             bf_h=bf_h,
-            handler_bandwidth_mbps=None if bandwidth is None else _number(
-                bandwidth, "topology.handlerLinkMbps", positive=True),
-            link_latency_ms=_number(topology.get("latencyMs", 0.0),
-                                    "topology.latencyMs"),
-            rules=trust.ValidatorRules.from_config(
-                _object(data.get("trustRules", {}), "trustRules")),
+            handler_bandwidth_mbps=topology.get("handlerLinkMbps", 200.0),
+            link_latency_ms=topology.get("latencyMs", 0.0),
         )
         if bf:
             config.bf_host, config.bf_port = cls._address(bf, "bfServer")
@@ -279,7 +279,8 @@ def _seed_bytes(master_seed: int, identity: str) -> bytes:
 
 
 class KeyStore:
-    """Keypairs and certificates by identity, optionally persisted on disk.
+    """Keypairs and certificates by identity, optionally persisted on disk,
+    one file per identity under `root`.
 
     With a master seed every keypair is a pure function of (seed, identity);
     without one, fresh random keys are generated and must be persisted to
@@ -295,18 +296,43 @@ class KeyStore:
         parts = [p for p in identity.split("/") if p]
         return self.root.joinpath(*parts).with_suffix(".json")
 
-    def _get(self, identity: str, make_cert) -> tuple[trust.KeyPair, trust.Certificate]:
+    def _load(self, identity: str):
+        """The identity's pair from memory or from its own file; None if it
+        has neither.  ConfigError names a file that is corrupt or holds
+        another identity."""
         hit = self._cache.get(identity)
+        if hit is not None or self.root is None:
+            return hit
+        path = self._path(identity)
+        if not path.is_file():
+            return None
+        try:
+            data = json.loads(path.read_text(encoding="utf-8"))
+            pair = (trust.KeyPair.from_dict(data["keypair"]),
+                    trust.Certificate.from_dict(data["certificate"]))
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ConfigError("key file %s is corrupt: %s" % (path, exc)) from None
+        if pair[1].identity != identity:
+            raise ConfigError("key file %s holds %s, not %s"
+                              % (path, pair[1].identity, identity))
+        return self._cache.setdefault(identity, pair)
+
+    def certificate(self, name: Name) -> Optional[trust.Certificate]:
+        """The certificate a repository name asks for, or None.  Creates no
+        key, and refuses a name outside the certificate prefix or with a
+        component that is not an identifier, so no name reads a file
+        outside `root`."""
+        comps = name.components
+        if comps[:2] != (SYSTEM_ROOT, trust.CERT_COMPONENT) or len(comps) < 3 \
+                or not all(map(is_identifier, comps[2:])):
+            return None
+        pair = self._load("/" + "/".join(comps[2:]))
+        return None if pair is None else pair[1]
+
+    def _get(self, identity: str, make_cert) -> tuple[trust.KeyPair, trust.Certificate]:
+        hit = self._load(identity)
         if hit is not None:
             return hit
-        if self.root is not None:
-            path = self._path(identity)
-            if path.exists():
-                data = json.loads(path.read_text(encoding="utf-8"))
-                pair = (trust.KeyPair.from_dict(data["keypair"]),
-                        trust.Certificate.from_dict(data["certificate"]))
-                self._cache[identity] = pair
-                return pair
         if self.seed is not None:
             kp = trust.KeyPair.from_seed(_seed_bytes(self.seed, identity))
         else:
@@ -340,37 +366,33 @@ class KeyStore:
     def user(self, tid: str, uid: str) -> tuple[trust.KeyPair, trust.Certificate]:
         return self._issued(trust.user_identity(tid, uid), self.tenant(tid))
 
-    def certificates(self) -> list[trust.Certificate]:
-        """Every known certificate: the in-memory ones plus any on disk."""
-        certs = {identity: cert for identity, (_, cert) in self._cache.items()}
-        if self.root is not None and self.root.exists():
-            for path in sorted(self.root.rglob("*.json")):
-                data = json.loads(path.read_text(encoding="utf-8"))
-                cert = trust.Certificate.from_dict(data["certificate"])
-                certs.setdefault(cert.identity, cert)
-        return [certs[identity] for identity in sorted(certs)]
-
 
 class CertRepo:
-    """In-process certificate directory; doubles as the producer behind the
-    system certificate prefix in either kind of cluster.  A name it does
-    not hold is answered at once with an unsigned "gone" reply at freshness
-    0, so no content store keeps it past the certificate's `add`.  Unsigned
-    is safe: a certificate authenticates itself, and a forged not-found can
-    only deny service, which dropping the interest can already do."""
+    """A cluster's certificate directory, answering from its key store: the
+    fetcher of every trust store the cluster builds, and the producer
+    behind the system certificate prefix in either kind of cluster.
 
-    def __init__(self):
-        self._certs: dict[str, trust.Certificate] = {}
+    A name the key store cannot answer (never issued, outside the prefix,
+    or its key file corrupt) is answered at once with an unsigned "gone"
+    reply at freshness 0, so no content store keeps it past the issue.
+    Unsigned is safe: a certificate authenticates itself, and a forged
+    not-found can only deny service, which dropping the interest can
+    already do."""
 
-    def add(self, cert: trust.Certificate) -> None:
-        self._certs[cert.name.text] = cert
+    def __init__(self, keys: KeyStore):
+        self.keys = keys
 
     def get_wire(self, name: Name) -> Optional[bytes]:
-        cert = self._certs.get(name.text)
-        return cert.to_wire() if cert is not None else None
+        """The certificate's wire, or None; ConfigError on a corrupt file."""
+        cert = self.keys.certificate(name)
+        return None if cert is None else cert.to_wire()
 
     def producer(self, interest, base: Name):
-        wire = self.get_wire(base)
+        try:
+            wire = self.get_wire(base)
+        except ConfigError as exc:
+            log.warning("answering %s gone: %s", base.text, exc)
+            wire = None
         if wire is None:
             return build_segments(base, gone_wire(base.text)), 0.0
         return build_segments(base, wire, CERT_FRESHNESS_MS), 0.0
@@ -464,22 +486,6 @@ class FilterFeed:
             log.warning("digest reload for %s failed: %s", engine_id, exc)
 
 
-def _cert_lookup(cert_repo: CertRepo, keys: KeyStore):
-    """Repo lookup with a keystore rescan, so identities issued after
-    startup still resolve.  It closes over the repo and the keys, not the
-    cluster, so the trust stores holding it keep no stopped cluster alive."""
-
-    def lookup(name: Name):
-        wire = cert_repo.get_wire(name)
-        if wire is None:
-            for cert in keys.certificates():
-                cert_repo.add(cert)
-            wire = cert_repo.get_wire(name)
-        return wire
-
-    return lookup
-
-
 class _Cluster:
     """The deployment both transports share.  `_assemble` puts each engine
     and service on a `core.Host` from the subclass's `_host`; `nodes` holds
@@ -494,11 +500,10 @@ class _Cluster:
                               % (type(self).__name__, self.MODE, config.mode))
         self.config = config
         self.keys = keystore or KeyStore(config.keys_dir, config.seed)
-        self.cert_repo = CertRepo()
-        self._cert_lookup = _cert_lookup(self.cert_repo, self.keys)
+        # Trust stores fetch through the repo, which holds the keys and not
+        # this cluster, so they keep no stopped cluster alive.
+        self.cert_repo = CertRepo(self.keys)
         _, self.anchor = self.keys.admin()
-        for cert in self.keys.certificates():
-            self.cert_repo.add(cert)
         self.engines: dict[str, Engine] = {}
         self.servers: dict = {}
         self.hosts: list = []
@@ -532,9 +537,7 @@ class _Cluster:
 
     def _add_engine(self, ecfg: EngineConfig) -> None:
         kp, cert = self.keys.engine(ecfg.engine_id)
-        self.cert_repo.add(cert)
-        store = trust.TrustStore(self.anchor, rules=self.config.rules,
-                                 fetcher=self._cert_lookup)
+        store = trust.TrustStore(self.anchor, fetcher=self.cert_repo.get_wire)
         storage = None
         if self.config.storage_dir is not None:
             storage = str(Path(self.config.storage_dir) / ecfg.engine_id)
@@ -555,8 +558,7 @@ class _Cluster:
         `substrate`, then wait for each engine's next publication."""
         self.bf_feed = FilterFeed(
             self.bloom_server,
-            trust.TrustStore(self.anchor, rules=self.config.rules,
-                             fetcher=self._cert_lookup),
+            trust.TrustStore(self.anchor, fetcher=self.cert_repo.get_wire),
             substrate)
         for engine_id in self.engines:
             self.bf_feed.recover(engine_id)
@@ -577,12 +579,9 @@ class _Cluster:
     # -- lifecycle -----------------------------------------------------------
 
     def issue_user(self, tid: str, uid: str) -> tuple[trust.KeyPair, trust.Certificate]:
-        """Tenant and user credentials, registered with the repository."""
-        _, tenant_cert = self.keys.tenant(tid)
-        kp, cert = self.keys.user(tid, uid)
-        self.cert_repo.add(tenant_cert)
-        self.cert_repo.add(cert)
-        return kp, cert
+        """A user's credentials, issued in the key store, which the
+        repository answers from."""
+        return self.keys.user(tid, uid)
 
     def flush_caches(self) -> None:
         for host in self.hosts:

@@ -354,9 +354,7 @@ class Engine:
             if not self.serves(item.name.tile):
                 statuses.append(ItemStatus(name_text, REJECTED, "unserved-prefix"))
                 continue
-            ok, reason = self.trust_store.verify_data_content(
-                name_text, item.signed_payload(), item.signature,
-                tid=item.name.tid, uid=item.name.uid)
+            ok, reason = item.verify(self.trust_store)
             if not ok:
                 statuses.append(ItemStatus(name_text, REJECTED, reason))
                 continue
@@ -386,9 +384,7 @@ class Engine:
             if not isinstance(parsed, DataName):
                 statuses.append(ItemStatus(name_text, REJECTED, "bad-name"))
                 continue
-            rule = self.trust_store.rules.data_content_signer
-            if signer_identity is None or not trust.identity_matches(
-                    rule, signer_identity, {"tid": parsed.tid, "uid": parsed.uid}):
+            if signer_identity != trust.user_identity(parsed.tid, parsed.uid):
                 statuses.append(ItemStatus(name_text, REJECTED,
                                            trust.REASON_IDENTITY_RULE))
                 continue

@@ -154,9 +154,7 @@ class _SubstrateClient:
                                   "bad response segment %s" % content.name)
 
     def _validate_item(self, item: OgbData) -> bool:
-        ok, reason = self.trust_store.verify_data_content(
-            item.name.name.text, item.signed_payload(), item.signature,
-            tid=item.name.tid, uid=item.name.uid)
+        ok, reason = item.verify(self.trust_store)
         if not ok:
             log.debug("dropping %s: %s", item.name.name.text, reason)
         return ok
@@ -166,9 +164,7 @@ class QueryHandler(_SubstrateClient):
     """Resolves range queries in two phases: tile-querying and post-filtering."""
 
     def range_query(self, query: RangeQuery) -> QueryReport:
-        rule = self.trust_store.rules.tile_interest_signer
-        if not trust.identity_matches(rule, self.credentials.identity,
-                                      {"tid": query.tid}):
+        if not trust.is_user_of(self.credentials.identity, query.tid):
             raise AuthorizationError(
                 "identity %s may not query tenant %s"
                 % (self.credentials.identity, query.tid))
@@ -271,7 +267,8 @@ class QueryHandler(_SubstrateClient):
                     rejected += 1
                     continue
                 item = OgbData.from_wire(result.payload)
-                if item.body_type != INLINE or not self._validate_item(item):
+                if item.body_type != INLINE or item.name.name.text != name \
+                        or not self._validate_item(item):
                     rejected += 1
                     continue
                 memo[name] = item.body

@@ -18,7 +18,7 @@ from . import grid, names
 from .errors import FeatureError
 from .grid import BoundingBox, GeoPoint, TileId
 from .names import DataName, TileName
-from .trust import TrustEnvelope
+from .trust import REASON_IDENTITY_RULE, TrustEnvelope
 
 MANDATORY_PROPERTIES = ("oid", "tid", "uid", "cid")
 GEOMETRY_TYPES = ("Point", "MultiPoint")
@@ -151,6 +151,18 @@ class OgbData:
             "body": self.body_dict(copy_raw=False),
             "freshnessMs": self.freshness_ms,
         })
+
+    def verify(self, trust_store) -> tuple[bool, Optional[str]]:
+        """(ok, reason): the item speaks only for its name, whose user
+        signed it.  An Inline's feature and a Reference's target must carry
+        the name's (tid, cid, uid, oid)."""
+        name, body = self.name, self.body
+        if (name.tid, name.cid, name.uid, name.oid) != (body.tid, body.cid,
+                                                        body.uid, body.oid):
+            return False, REASON_IDENTITY_RULE
+        return trust_store.verify_data_content(
+            name.name.text, self.signed_payload(), self.signature,
+            tid=name.tid, uid=name.uid)
 
     def _dict(self, copy_raw: bool) -> dict:
         d = {

@@ -7,12 +7,12 @@ identities nested under its own (the anchor may certify any direct child
 namespace).  Envelopes sign the concatenation of a name and a payload, so a
 signature binds content to the exact name it was published under.
 
-Validation rules are plain data so engines and query-handlers can load the
-same rule set from configuration:
+Two signing rules are fixed in code, for engines and query-handlers alike:
 
-* tile-query interests must be signed by a user of the tile name's tenant;
-* data contents must be signed by exactly the user named in the data name,
-  under that name's tenant.
+* a tile-query interest must be signed by some user of the tile name's
+  tenant, `user_identity(tid, u)` for any uid `u`;
+* data content, and a request to delete it, must be signed by exactly the
+  user its data name names, `user_identity(tid, uid)`.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from cryptography.hazmat.primitives.serialization import (
 )
 
 from .errors import ValidationError
-from .names import Name, SYSTEM_ROOT
+from .names import Name, SYSTEM_ROOT, is_identifier
 
 CERT_COMPONENT = "certs"
 ADMIN_IDENTITY = "/OGB/admin"
@@ -60,6 +60,12 @@ def tenant_identity(tid: str) -> str:
 
 def user_identity(tid: str, uid: str) -> str:
     return "/OGB/tenants/%s/users/%s" % (tid, uid)
+
+
+def is_user_of(identity: str, tid: str) -> bool:
+    """True when `identity` is `user_identity(tid, u)` for some uid `u`."""
+    prefix = user_identity(tid, "")
+    return identity.startswith(prefix) and is_identifier(identity[len(prefix):])
 
 
 def engine_identity(engine_id: str) -> str:
@@ -205,66 +211,30 @@ def sign_envelope(keypair: KeyPair, cert: Certificate, name_text: str,
     return TrustEnvelope(cert.name.text, keypair.sign(signed_message(name_text, payload)))
 
 
-@dataclass
-class ValidatorRules:
-    """Identity patterns; `{tid}`/`{uid}` fill from the validated name, `*`
-    matches any single component."""
-
-    tile_interest_signer: str = "/OGB/tenants/{tid}/users/*"
-    data_content_signer: str = "/OGB/tenants/{tid}/users/{uid}"
-
-    def to_config(self) -> dict:
-        return {
-            "tileInterestSigner": self.tile_interest_signer,
-            "dataContentSigner": self.data_content_signer,
-        }
-
-    @classmethod
-    def from_config(cls, data: dict) -> "ValidatorRules":
-        rules = cls()
-        if "tileInterestSigner" in data:
-            rules.tile_interest_signer = data["tileInterestSigner"]
-        if "dataContentSigner" in data:
-            rules.data_content_signer = data["dataContentSigner"]
-        return rules
-
-
-def identity_matches(pattern: str, identity: str, fields: dict) -> bool:
-    try:
-        filled = pattern.format(**fields)
-    except (KeyError, IndexError):
-        return False
-    want = [p for p in filled.split("/") if p]
-    have = [p for p in identity.split("/") if p]
-    if len(want) != len(have):
-        return False
-    return all(w == "*" or w == h for w, h in zip(want, have))
-
-
 class TrustStore:
-    """Certificate cache plus the chain/rule/integrity verifier.
+    """Certificate cache plus the chain/signer/integrity verifier.
 
     `fetcher` takes a certificate Name and returns its wire bytes (or None);
-    the query-handler wires this to a substrate GET so missing certificates
-    are fetched on demand.  Engines in simulated mode run inside the event
-    loop and are preloaded instead.
+    a client wires this to a substrate GET, and a cluster's engines and
+    Bloom feed to `CertRepo.get_wire`, which reads the key store, so a
+    missing certificate is looked up on demand.
 
     The final Ed25519 check runs at most once per distinct signed message:
     successes are kept in a bounded LRU keyed by a digest of (public key,
     signature, signed bytes), so a changed payload or a re-keyed certificate
-    never hits.  Envelope, certificate, chain and rule checks run every call.
+    never hits.  Envelope, certificate, chain and signer checks run every call.
     """
 
-    def __init__(self, anchor: Certificate, rules: Optional[ValidatorRules] = None,
+    def __init__(self, anchor: Certificate,
                  fetcher: Optional[Callable[[Name], Optional[bytes]]] = None):
         self.anchor = anchor
-        self.rules = rules or ValidatorRules()
         self.fetcher = fetcher
         self._certs: dict[str, Certificate] = {anchor.name.text: anchor}
         self._chain_ok: set[str] = set()
         self._keys: dict[bytes, Ed25519PublicKey] = {}
         self._verified: OrderedDict[bytes, None] = OrderedDict()
-        # Socket-mode validators run on a pool of threads sharing one store.
+        # A store may be shared by threads: the Bloom feed's subscription
+        # threads, or a socket host's connection threads.
         self._verified_lock = threading.Lock()
 
     def add_certificate(self, cert: Certificate) -> None:
@@ -326,12 +296,11 @@ class TrustStore:
         return False, REASON_BAD_CHAIN
 
     def verify(self, name_text: str, payload: bytes, envelope: Optional[TrustEnvelope],
-               rule: Optional[str] = None, fields: Optional[dict] = None,
-               identity: Optional[str] = None,
+               signer: Optional[Callable[[str], bool]] = None,
                ) -> tuple[bool, Optional[str]]:
-        """Full check: certificate available, chain valid, rule satisfied
-        (and, given `identity`, the signer is exactly that identity),
-        signature intact.  Returns (ok, reason)."""
+        """Full check: certificate available, chain valid, the signer's
+        identity passing `signer` if given, signature intact.  Returns
+        (ok, reason)."""
         if envelope is None:
             return False, REASON_INTEGRITY
         cert = self.get_certificate(envelope.key_locator)
@@ -340,9 +309,7 @@ class TrustStore:
         ok, reason = self.validate_chain(cert)
         if not ok:
             return False, reason
-        if rule is not None and not identity_matches(rule, cert.identity, fields or {}):
-            return False, REASON_IDENTITY_RULE
-        if identity is not None and cert.identity != identity:
+        if signer is not None and not signer(cert.identity):
             return False, REASON_IDENTITY_RULE
         if not self._signature_ok(cert.public_key, envelope.signature,
                                   signed_message(name_text, payload)):
@@ -376,18 +343,17 @@ class TrustStore:
                              envelope: Optional[TrustEnvelope], tid: str,
                              ) -> tuple[bool, Optional[str]]:
         return self.verify(name_text, payload, envelope,
-                           rule=self.rules.tile_interest_signer, fields={"tid": tid})
+                           signer=lambda identity: is_user_of(identity, tid))
 
     def verify_engine_content(self, name_text: str, payload: bytes,
                               envelope: Optional[TrustEnvelope], engine_id: str,
                               ) -> tuple[bool, Optional[str]]:
         """Content the engine `engine_id` itself must have signed."""
         return self.verify(name_text, payload, envelope,
-                           identity=engine_identity(engine_id))
+                           signer=engine_identity(engine_id).__eq__)
 
     def verify_data_content(self, name_text: str, payload: bytes,
                             envelope: Optional[TrustEnvelope], tid: str, uid: str,
                             ) -> tuple[bool, Optional[str]]:
         return self.verify(name_text, payload, envelope,
-                           rule=self.rules.data_content_signer,
-                           fields={"tid": tid, "uid": uid})
+                           signer=user_identity(tid, uid).__eq__)

@@ -360,3 +360,33 @@ def test_store_in_the_old_format_is_one_json_storage_error(capsys, config_path,
     body = json.loads(err)
     assert body["error"] == "storage-error"
     assert str(old) in body["message"]
+
+
+def test_a_corrupt_key_file_fails_only_the_identity_it_holds(capsys, config_path,
+                                                             tmp_path):
+    feature = write_feature(tmp_path, STARBUCKS)
+    run_json(capsys, "--config", config_path, "insert", feature,
+             "--tid", "Foo", "--uid", "alice")
+    broken = tmp_path / "keys" / "OGB" / "tenants" / "Broken.json"
+    broken.write_text("{not json", encoding="utf-8")
+    argv = ["--config", config_path, "query", "--bbox", ROME_BBOX,
+            "--cid", "ShopApp"]
+    report = run_json(capsys, *argv, "--tid", "Foo", "--uid", "alice")
+    assert report["counts"]["itemsAfterFilter"] == 1
+
+    code, out, err = run(capsys, *argv, "--tid", "Broken", "--uid", "bob")
+    assert code == 1 and out == ""
+    assert "Traceback" not in err
+    body = json.loads(err)
+    assert body["error"] == "config-error"
+    assert str(broken) in body["message"]
+
+
+def test_a_trust_rules_config_is_refused(capsys, tmp_path):
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps(_config_with(trustRules={})), encoding="utf-8")
+    code, out, err = run(capsys, "--config", path, "bf-stats")
+    assert code == 1 and out == ""
+    body = json.loads(err)
+    assert body["error"] == "config-error"
+    assert "trustRules" in body["message"]

@@ -311,8 +311,19 @@ def test_keystore_persists_and_rescans(tmp_path):
     store.admin()
     store.user("Foo", "Alice")
     fresh = KeyStore(tmp_path)
-    identities = [c.identity for c in fresh.certificates()]
-    assert "/OGB/admin" in identities
-    assert "/OGB/tenants/Foo/users/Alice" in identities
+    for identity in ("/OGB/admin", "/OGB/tenants/Foo/users/Alice"):
+        assert fresh.certificate(trust.cert_name(identity)).identity == identity
+    assert fresh.certificate(trust.cert_name("/OGB/tenants/Foo/users/Bob")) is None
     kp, cert = fresh.user("Foo", "Alice")
     assert cert.to_wire() == store.user("Foo", "Alice")[1].to_wire()
+
+
+def test_a_key_file_holding_another_identity_is_a_config_error(tmp_path):
+    KeyStore(tmp_path, seed=3).user("Foo", "Alice")
+    users = tmp_path / "OGB" / "tenants" / "Foo" / "users"
+    (users / "Bob.json").write_text((users / "Alice.json").read_text())
+    fresh = KeyStore(tmp_path)
+    with pytest.raises(ConfigError, match="Bob.json"):
+        fresh.certificate(trust.cert_name(trust.user_identity("Foo", "Bob")))
+    with pytest.raises(ConfigError, match="Bob.json"):
+        fresh.user("Foo", "Bob")

@@ -10,18 +10,20 @@ import weakref
 import pytest
 
 from ogb import trust
-from ogb.cluster import (ClusterConfig, SimCluster, SocketCluster,
+from ogb.cluster import (ClusterConfig, KeyStore, SimCluster, SocketCluster,
                          network_cert_fetcher)
 from ogb.engine import bulk_channel
-from ogb.errors import NoRouteError, ProtocolError, TimeoutError_
+from ogb.errors import ConfigError, NoRouteError, ProtocolError, TimeoutError_
 from ogb.frontend import Credentials, InsertHandler, QueryHandler, RangeQuery
-from ogb.geodata import canonical_json, make_ogb_data_set, parse_feature
+from ogb.geodata import (INLINE, REFERENCE, OgbData, canonical_data_name,
+                         canonical_json, is_gone, make_ogb_data_set,
+                         parse_feature)
 from ogb.grid import BoundingBox
 from ogb.icn import wire
 from ogb.icn.core import (DEFAULT_LIFETIME_MS, PIT_SWEEP_MIN, ContentObject,
                           Interest, build_segments)
 from ogb.icn.sockets import ContentServer, SocketSubstrate
-from ogb.names import tile_prefix
+from ogb.names import DataName, Name, tile_prefix
 from ogb.trust import TrustEnvelope
 
 from conftest import bad_publications, starbucks_dict
@@ -584,10 +586,12 @@ def test_a_stopped_cluster_is_freed_without_a_collection(mode, tmp_path):
         gc.enable()
 
 
-def deploy(mode, storage):
+def deploy(mode, storage, keys_dir=None):
     """A cluster in `mode` on `storage`, Alice's handlers, and a closer."""
     data = cluster_dict(mode, free_ports(4) if mode == "socket" else None)
     data["storageDir"] = str(storage)
+    if keys_dir is not None:
+        data["keysDir"] = str(keys_dir)
     config = ClusterConfig.from_dict(data)
     if mode == "sim":
         cluster = SimCluster(config)
@@ -692,5 +696,140 @@ def test_an_unknown_certificate_is_answered_at_once(mode, tmp_path):
         assert qh.substrate.now_ms() - started < DEFAULT_LIFETIME_MS
         _, cert = cluster.issue_user("Foo", "Nobody")
         assert fetch(name) == cert.to_wire()
+    finally:
+        close()
+
+
+def test_a_user_issued_by_another_process_resolves_over_the_network(tmp_path):
+    data = cluster_dict("socket", free_ports(4))
+    data["engines"] = data["engines"][:1]
+    data["keysDir"] = str(tmp_path / "keys")
+    cluster = SocketCluster(ClusterConfig.from_dict(data))
+    cluster.start()
+    substrate = cluster.substrate()
+    try:
+        _, late = KeyStore(tmp_path / "keys").user("Foo", "Late")
+        assert network_cert_fetcher(substrate)(late.name) == late.to_wire()
+    finally:
+        substrate.close()
+        cluster.stop()
+
+
+@pytest.mark.parametrize("mode", ["sim", "socket"])
+def test_no_certificate_name_reads_outside_the_key_store(mode, tmp_path):
+    keys_dir = tmp_path / "keys"
+    cluster, qh, _, close = deploy(mode, tmp_path / "storage", keys_dir)
+    try:
+        # What a key store would write for the identity "/../outside".
+        kp = trust.KeyPair.from_seed(bytes(32))
+        (tmp_path / "outside.json").write_text(json.dumps({
+            "identity": "/../outside", "keypair": kp.to_dict(),
+            "certificate": trust.make_anchor(kp, "/../outside").to_dict()}))
+        outside = Name.from_text("ndn:/OGB-SYS/certs/../outside")
+        assert cluster.cert_repo.get_wire(outside) is None
+        # A corrupt key file is a config error here, and "gone" on the wire.
+        broken = trust.cert_name(trust.user_identity("Foo", "Broken"))
+        (keys_dir / "OGB" / "tenants" / "Foo" / "users" / "Broken.json") \
+            .write_text("{not json")
+        with pytest.raises(ConfigError, match="Broken.json"):
+            cluster.cert_repo.get_wire(broken)
+        for name in (outside, broken):
+            assert is_gone(qh.substrate.get(name.text).payload)
+    finally:
+        close()
+
+
+ROME = [12.51133, 41.8919]
+
+
+def _feature(tid, uid, oid, coordinates=ROME):
+    return {"type": "Feature",
+            "geometry": {"type": "Point", "coordinates": coordinates},
+            "properties": {"oid": oid, "tid": tid, "uid": uid, "cid": "ShopApp"}}
+
+
+def forgeries(alice, eve_feature):
+    """Alice's signed items that speak for others: at every tile, an Inline
+    or Reference claiming Bob's oid 1, and a Reference to Eve's feature in
+    tenant Bar, all under Alice's own names."""
+    claim = parse_feature(_feature("Foo", "Bob", 1, [12.5114, 41.892]))
+    eve_target = canonical_data_name(eve_feature)
+    items = []
+    for item in make_ogb_data_set(claim, 60000):
+        item.name = DataName(item.name.tile, "Foo", "ShopApp", "Alice", "1")
+        items.append(item)
+    for item in make_ogb_data_set(eve_feature, 60000):
+        items.append(OgbData(DataName(item.name.tile, "Foo", "ShopApp", "Alice", "5"),
+                             REFERENCE, eve_target, 60000))
+    for item in items:
+        item.signature = alice.sign(item.name.name.text, item.signed_payload())
+    return items
+
+
+def _forgery_world(mode, tmp_path):
+    cluster, _, ih, close = deploy(mode, tmp_path / "storage")
+    substrate, fetcher = ih.substrate, ih.trust_store.fetcher
+    handlers = {}
+    for tid, uid in (("Foo", "Bob"), ("Bar", "Eve")):
+        kp, cert = cluster.issue_user(tid, uid)
+        handlers[uid] = handlers_for(substrate, cluster.anchor, fetcher,
+                                     Credentials(tid, uid, kp, cert))
+    bob, eve = _feature("Foo", "Bob", 1), _feature("Bar", "Eve", 9)
+    assert handlers["Bob"][1].insert(bob).all_accepted
+    assert handlers["Eve"][1].insert(eve).all_accepted
+    return cluster, ih, handlers["Bob"][0], bob, parse_feature(eve), close
+
+
+def _bob_query(qh):
+    return qh.range_query(RangeQuery(bbox=BoundingBox.of(12.50, 41.88, 12.53, 41.90),
+                                     mode="intersect", tid="Foo", cid="ShopApp"))
+
+
+@pytest.mark.parametrize("mode", ["sim", "socket"])
+def test_an_engine_refuses_items_that_speak_for_another(mode, tmp_path):
+    cluster, ih, bob_qh, bob, eve, close = _forgery_world(mode, tmp_path)
+    try:
+        items = forgeries(ih.credentials, eve)
+        report = ih._push(items, op="insert")
+        assert [s.reason for s in report.statuses] == \
+            [trust.REASON_IDENTITY_RULE] * len(items)
+        assert [f.raw for f in _bob_query(bob_qh).features] == [bob]
+    finally:
+        close()
+
+
+@pytest.mark.parametrize("mode", ["sim", "socket"])
+def test_a_query_drops_stored_items_that_speak_for_another(mode, tmp_path,
+                                                          monkeypatch):
+    cluster, ih, bob_qh, bob, eve, close = _forgery_world(mode, tmp_path)
+    try:
+        items = forgeries(ih.credentials, eve)
+        assert {i.body_type for i in items} == {INLINE, REFERENCE}
+        # And Alice's genuine Reference, whose target the engine answers
+        # with Eve's validly signed Inline.
+        target = canonical_data_name(parse_feature(
+            _feature("Foo", "Alice", 7, [12.525, 41.895])))
+        reference = OgbData(DataName(canonical_data_name(eve).tile, "Foo",
+                                     "ShopApp", "Alice", "7"),
+                            REFERENCE, target, 60000)
+        reference.signature = ih.credentials.sign(
+            reference.name.name.text, reference.signed_payload())
+        engine = cluster.engines["east"]
+        eve_wire = engine.co_table[canonical_data_name(eve).name.text]
+        honest = engine._data_response
+
+        def swapped(data_name):
+            if data_name != target:
+                return honest(data_name)
+            return build_segments(target.name, eve_wire, 0.0, engine._sign), 0.0
+
+        monkeypatch.setattr(engine, "_data_response", swapped)
+        with cluster.servers["east"].dispatch_lock:
+            for item in items + [reference]:
+                engine._put(item.name.name.text, item.to_wire())
+        cluster.flush_caches()
+        report = _bob_query(bob_qh)
+        assert [f.raw for f in report.features] == [bob]
+        assert report.counts["itemsRejected"] >= 2
     finally:
         close()

@@ -15,9 +15,7 @@ from ogb.trust import (
     KeyPair,
     TrustEnvelope,
     TrustStore,
-    ValidatorRules,
     cert_name,
-    identity_matches,
     issue,
     make_anchor,
     sign_envelope,
@@ -125,31 +123,16 @@ def test_chain_depth_limit(keyring):
 
 
 def test_identity_matches_patterns():
-    fields = {"tid": "Foo", "uid": "Alice"}
-    assert identity_matches("/OGB/tenants/{tid}/users/*",
-                            "/OGB/tenants/Foo/users/Alice", fields)
-    assert identity_matches("/OGB/tenants/{tid}/users/*",
-                            "/OGB/tenants/Foo/users/Bob", fields)
-    assert not identity_matches("/OGB/tenants/{tid}/users/*",
-                                "/OGB/tenants/Bar/users/Alice", fields)
-    assert not identity_matches("/OGB/tenants/{tid}/users/*",
-                                "/OGB/tenants/Foo", fields)
-    assert not identity_matches("/OGB/tenants/{tid}/users/*",
-                                "/OGB/tenants/Foo/users/Alice/devices/a", fields)
-    assert identity_matches("/OGB/tenants/{tid}/users/{uid}",
-                            "/OGB/tenants/Foo/users/Alice", fields)
-    assert not identity_matches("/OGB/tenants/{tid}/users/{uid}",
-                                "/OGB/tenants/Foo/users/Bob", fields)
-    assert not identity_matches("/OGB/tenants/{missing}/x", "/OGB/a/x", fields)
-
-
-def test_rules_config_roundtrip():
-    rules = ValidatorRules()
-    clone = ValidatorRules.from_config(rules.to_config())
-    assert clone == rules
-    custom = ValidatorRules.from_config({"tileInterestSigner": "/OGB/x/{tid}"})
-    assert custom.tile_interest_signer == "/OGB/x/{tid}"
-    assert custom.data_content_signer == rules.data_content_signer
+    # Tile queries: any user of the tenant.
+    assert trust.is_user_of("/OGB/tenants/Foo/users/Alice", "Foo")
+    assert trust.is_user_of("/OGB/tenants/Foo/users/Bob", "Foo")
+    assert not trust.is_user_of("/OGB/tenants/Bar/users/Alice", "Foo")
+    assert not trust.is_user_of("/OGB/tenants/Foo", "Foo")
+    assert not trust.is_user_of("/OGB/tenants/Foo/users/Alice/devices/a", "Foo")
+    # Data content: exactly the named user.
+    assert trust.user_identity("Foo", "Alice") == "/OGB/tenants/Foo/users/Alice"
+    assert trust.user_identity("Foo", "Alice") != "/OGB/tenants/Foo/users/Bob"
+    assert not trust.is_user_of("/OGB/a/x", "Foo")
 
 
 def test_missing_envelope_and_missing_cert(keyring):
