@@ -406,7 +406,13 @@ class BloomServer:
         self.global_bf.bits[:] = merged.to_bytes(len(self.global_bf.bits), "little")
 
     def membership(self, prefixes: Sequence[str]) -> list[bool]:
-        return [self.global_bf.contains(p) for p in prefixes]
+        """`global_bf.contains` of each prefix, hashed and tested in one
+        numpy pass."""
+        if not prefixes:
+            return []
+        rows = bucket_index_matrix(prefixes, self.m, self.h)
+        bits = numpy.frombuffer(self.global_bf.bits, dtype=numpy.uint8)
+        return ((bits[rows >> 3] >> (rows & 7)) & 1).all(axis=1).tolist()
 
     def stats(self) -> dict:
         return {

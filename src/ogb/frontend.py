@@ -4,7 +4,12 @@ A range query runs in phases: tessellate the box under the tile-count
 constraint, optionally drop void tiles via the Bloom filter service, issue
 one signed tile-query per remaining tile with a bounded window, validate
 every returned item, dereference stored-once bodies (each canonical object
-fetched at most once per query), then dedupe and post-filter.
+fetched at most once per query), then dedupe and post-filter.  A listing
+speaks only for the tile name it was asked for: a listing under another
+name, and a listed item of another tile or tenant, are dropped and counted
+as rejected before any signature is checked.  A handler signs each tile
+interest once and reuses the envelope while it stays in a bounded LRU;
+Ed25519 signatures are deterministic, so the engine sees the same bytes.
 
 The write path mirrors the read path's routing: each item's responsible
 engine is found with an address-resolution GET, cached per served prefix, and
@@ -20,7 +25,7 @@ from typing import Union
 
 from . import tessellation, trust
 from .bloom import BF_QUERY_ROOT
-from .engine import ACCEPTED, ItemStatus, bulk_channel
+from .engine import ACCEPTED, ItemStatus, LruCache, bulk_channel
 from .errors import (
     AuthorizationError,
     ConfigError,
@@ -163,6 +168,21 @@ class _SubstrateClient:
 class QueryHandler(_SubstrateClient):
     """Resolves range queries in two phases: tile-querying and post-filtering."""
 
+    def __init__(self, substrate, trust_store, credentials: Credentials):
+        super().__init__(substrate, trust_store, credentials)
+        # (segment name, payload) -> envelope of a tile interest.  Ed25519
+        # signatures are deterministic, so a kept envelope is byte for byte
+        # the one signing again would give.
+        self._tile_envelopes = LruCache(trust.VERIFIED_MEMO_SIZE)
+
+    def _sign_tile_interest(self, name_text: str, payload: bytes) -> trust.TrustEnvelope:
+        key = (name_text, payload)
+        envelope = self._tile_envelopes.get(key)
+        if envelope is None:
+            envelope = self.credentials.sign(name_text, payload)
+            self._tile_envelopes.put(key, envelope)
+        return envelope
+
     def range_query(self, query: RangeQuery) -> QueryReport:
         if not trust.is_user_of(self.credentials.identity, query.tid):
             raise AuthorizationError(
@@ -217,22 +237,36 @@ class QueryHandler(_SubstrateClient):
         return [tile for tile, bit in zip(tiles, bits) if bit]
 
     def _query_tiles(self, tiles: list, query: RangeQuery):
+        tile_names = [TileName(tile, query.tid, query.cid) for tile in tiles]
         requests = [{
-            "name": TileName(tile, query.tid, query.cid).name.text,
-            "sign": self.credentials.sign,
+            "name": tile_name.name.text,
+            "sign": self._sign_tile_interest,
             "validator": self._validate_segment,
-        } for tile in tiles]
+        } for tile_name in tile_names]
         results = self.substrate.get_many(requests, window=query.window)
 
         items: list[OgbData] = []
         rejected = 0
         failed: list[str] = []
-        for request, result in zip(requests, results):
+        for tile_name, result in zip(tile_names, results):
             if isinstance(result, Exception):
-                failed.append(request["name"])
+                failed.append(tile_name.name.text)
                 continue
-            for item in OgbTile.from_wire(result.payload).items:
-                if self._validate_item(item):
+            listing = OgbTile.from_wire(result.payload)
+            if listing.name != tile_name:
+                log.debug("dropping listing %s: asked for %s",
+                          listing.name.name.text, tile_name.name.text)
+                rejected += len(listing.items)
+                continue
+            for item in listing.items:
+                # A listing speaks only for its own tile and tenant.
+                name = item.name
+                if (name.tile, name.tid, name.cid) != (tile_name.tile, tile_name.tid,
+                                                       tile_name.cid):
+                    log.debug("dropping %s: not of listing %s",
+                              name.name.text, tile_name.name.text)
+                    rejected += 1
+                elif self._validate_item(item):
                     items.append(item)
                 else:
                     rejected += 1
@@ -335,12 +369,13 @@ class InsertHandler(_SubstrateClient):
             group = groups[engine_id]
             name = self._service_name(bulk_channel(engine_id), op)
             if op == "insert":
-                request = {"op": "insert",
-                           "items": [item.to_dict() for item in group]}
+                # canonical_json({"op": "insert", "items": [...]}), spliced
+                # from each item's wire form with no copy of its feature.
+                payload = b'{"items":[%s],"op":"insert"}' % b",".join(
+                    item.to_wire() for item in group)
             else:
-                request = {"op": "delete",
-                           "names": [item.name.name.text for item in group]}
-            payload = canonical_json(request)
+                payload = canonical_json({"op": "delete",
+                                          "names": [item.name.name.text for item in group]})
             result = self.substrate.get(name, payload=payload,
                                         sign=self.credentials.sign,
                                         validator=self._validate_segment)

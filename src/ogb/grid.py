@@ -87,7 +87,8 @@ class TileId:
         if len(self.digits) > MAX_LEVEL:
             raise GridHierarchyError("at most %d digit pairs, got %d" % (MAX_LEVEL, len(self.digits)))
         for pair in self.digits:
-            if len(pair) != 2 or not all(isinstance(d, int) and 0 <= d < SIDE for d in pair):
+            if len(pair) != 2 or not (isinstance(pair[0], int) and 0 <= pair[0] < SIDE
+                                      and isinstance(pair[1], int) and 0 <= pair[1] < SIDE):
                 raise InvalidCoordinate("digit pair %r outside 0..%d" % (pair, SIDE - 1))
 
     @property

@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 from ..errors import (ConfigError, NameParseError, NoRouteError, TimeoutError_,
                       ValidationError)
-from ..names import Name, segment_name, split_segment
+from ..names import SCHEME, Name, segment_name, split_segment
 from ..trust import TrustEnvelope
 
 # Interests are small and fixed-cost on the wire; contents cost their payload.
@@ -207,7 +207,11 @@ class Fib:
             self._lengths.sort(reverse=True)
 
     def lookup(self, name: str):
-        comps = Name.from_text(name).components
+        """The next hop of the longest route prefixing `name`; a name that
+        `Name.from_text` refuses raises its NameParseError."""
+        comps = tuple(name[len(SCHEME):].split("/")) if name.startswith(SCHEME) else ()
+        if not comps or "" in comps:
+            Name.from_text(name)                 # raises its refusal
         for length in self._lengths:
             if length <= len(comps):
                 hop = self._routes.get(comps[:length])

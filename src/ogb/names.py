@@ -32,6 +32,26 @@ _INT_RE = re.compile(r"-?(0|[1-9][0-9]*)\Z")
 _PAIR_RE = re.compile(r"[0-9]{2}\Z")
 
 
+class computed_once:
+    """A property of a frozen object computed on first use and then kept in
+    the object's `__dict__`, where later lookups find it directly.
+
+    Unlike `functools.cached_property` before Python 3.12, it takes no lock:
+    two threads may both compute the value, and they compute equal ones.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.attr = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.attr] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class Name:
     """An immutable sequence of components with a canonical text form."""
@@ -43,7 +63,7 @@ class Name:
             if not c or "/" in c:
                 raise NameParseError("empty or slash-bearing component at %d" % i, component=i)
 
-    @property
+    @computed_once
     def text(self) -> str:
         return SCHEME + "/".join(self.components)
 
@@ -97,7 +117,7 @@ def routing_prefix(t: TileId) -> Name:
 class TilePrefix:
     tile: TileId
 
-    @property
+    @computed_once
     def name(self) -> Name:
         return tile_prefix(self.tile)
 
@@ -116,7 +136,7 @@ class DataName:
         for field in ("tid", "cid", "uid", "oid"):
             _check_identifier(getattr(self, field), field)
 
-    @property
+    @computed_once
     def name(self) -> Name:
         return tile_prefix(self.tile).child(DATA_MARKER, self.tid, self.cid, self.uid, self.oid)
 
@@ -133,7 +153,7 @@ class TileName:
         _check_identifier(self.tid, "tid")
         _check_identifier(self.cid, "cid")
 
-    @property
+    @computed_once
     def name(self) -> Name:
         return tile_prefix(self.tile).child(TILE_MARKER, self.tid, self.cid)
 
@@ -144,7 +164,7 @@ class IpResName:
 
     tile: TileId
 
-    @property
+    @computed_once
     def name(self) -> Name:
         return tile_prefix(self.tile).child(IPRES_MARKER)
 
@@ -159,7 +179,7 @@ class SegmentName:
     base: ParsedName
     index: int
 
-    @property
+    @computed_once
     def name(self) -> Name:
         return segment_name(self.base.name, self.index)
 

@@ -8,17 +8,19 @@ tiles remain.  If even whole level-0 tiles cannot satisfy k, the cover falls
 back to the level-0 tiles and is flagged as violating the constraint.
 
 Everything here runs in integer index space over the deepest-level cells; the
-grid adapters translate blocks to real tiles.  `DemoGrid` is a small
-ratio-4 grid used to compare the greedy against `optimal_cover`, the exact
-branch-and-bound search.
+grid adapters translate blocks to real tiles.  `constrained` never builds the
+reduced cover: the greedy needs only how many cover blocks and candidate
+ancestors each block holds, which rectangle arithmetic gives, so only the
+candidates of one level at a time and the at most k tiles of the answer are
+ever built.  `DemoGrid` is a small ratio-4 grid used to compare the greedy
+against `optimal_cover`, the exact branch-and-bound search.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 from . import grid as ogb_grid
 from . import names
@@ -94,15 +96,12 @@ class OgbGrid(TessGrid):
 
     def block_tile(self, block) -> TileId:
         level, a, b = block
-        f = self.span(level)
-        i, j = a * f, b * f
-        lng0 = i // self._SCALE + int(ogb_grid.LNG_MIN)
-        lat0 = j // self._SCALE + int(ogb_grid.LAT_MIN)
-        digits = []
-        for l in range(1, level + 1):
-            g = self.side ** (self.deepest - l)
-            digits.append(((i // g) % self.side, (j // g) % self.side))
-        return TileId(lng0, lat0, tuple(digits))
+        side = self.side
+        per_degree = side ** level
+        digits = tuple((a // g % side, b // g % side)
+                       for g in (side ** shift for shift in range(level - 1, -1, -1)))
+        return TileId(a // per_degree + int(ogb_grid.LNG_MIN),
+                      b // per_degree + int(ogb_grid.LAT_MIN), digits)
 
     def tile_block(self, tile: TileId) -> Block:
         i = (tile.lng0 - int(ogb_grid.LNG_MIN)) * self._SCALE
@@ -118,7 +117,18 @@ class OgbGrid(TessGrid):
         return ogb_grid.tile_bbox(tile)
 
     def block_sort_key(self, block):
-        return names.tile_prefix(self.block_tile(block)).components
+        """`names.tile_prefix(self.block_tile(block)).components`, from the
+        block's integers alone."""
+        level, a, b = block
+        side = self.side
+        per_degree = side ** level
+        comps = [names.ROOT, str(a // per_degree + int(ogb_grid.LNG_MIN)),
+                 str(b // per_degree + int(ogb_grid.LAT_MIN))]
+        for shift in range(level - 1, -1, -1):
+            g = side ** shift
+            comps.append("%d%d" % (a // g % side, b // g % side))
+        comps.append(names.GRID_MARKER)
+        return tuple(comps)
 
 
 class DemoGrid(TessGrid):
@@ -279,57 +289,101 @@ def _level_inside_box(i0, j0, i1, j1, f):
     return lox, loy, hix, hiy
 
 
-def _rect_minus(x0, y0, x1, y1, hx0, hy0, hx1, hy1):
-    """Cells of [x0..x1]x[y0..y1] outside the hole rectangle."""
-    if hx0 > hx1 or hy0 > hy1 or hx1 < x0 or hx0 > x1 or hy1 < y0 or hy0 > y1:
-        for a in range(x0, x1 + 1):
-            for b in range(y0, y1 + 1):
-                yield a, b
-        return
-    for a in range(x0, min(hx0 - 1, x1) + 1):
-        for b in range(y0, y1 + 1):
-            yield a, b
-    for a in range(max(hx1 + 1, x0), x1 + 1):
-        for b in range(y0, y1 + 1):
-            yield a, b
-    for a in range(max(hx0, x0), min(hx1, x1) + 1):
-        for b in range(y0, min(hy0 - 1, y1) + 1):
-            yield a, b
-        for b in range(max(hy1 + 1, y0), y1 + 1):
-            yield a, b
+def _area(rect) -> int:
+    """Blocks in an inclusive index rectangle; 0 when it is empty."""
+    x0, y0, x1, y1 = rect
+    return max(x1 - x0 + 1, 0) * max(y1 - y0 + 1, 0)
 
 
-def _collapsed_cover(i0, j0, i1, j1, tgrid: TessGrid) -> list[Block]:
-    """The sibling-collapsed cover of a deepest-cell rectangle, built directly:
-    a block belongs to the cover iff it lies fully inside the rectangle and
-    its parent does not (deepest cells count as always 'inside')."""
-    blocks: list[Block] = []
-    prev_box = None                      # inside-box of the previous (coarser) level
-    for level in range(tgrid.levels):
-        f = tgrid.span(level)
-        if level < tgrid.deepest:
-            lox, loy, hix, hiy = _level_inside_box(i0, j0, i1, j1, f)
-            if lox > hix or loy > hiy:
-                prev_box = (lox, loy, hix, hiy)  # empty; nothing fully inside
-                continue
-        else:
-            lox, loy, hix, hiy = i0, j0, i1, j1
-        if prev_box is None:
-            cells = _rect_minus(lox, loy, hix, hiy, 1, 1, 0, 0)     # no hole
-        else:
-            plox, ploy, phix, phiy = prev_box
-            s = tgrid.side
-            cells = _rect_minus(lox, loy, hix, hiy,
-                                plox * s, ploy * s, (phix + 1) * s - 1, (phiy + 1) * s - 1)
-        blocks.extend((level, a, b) for a, b in cells)
-        if level < tgrid.deepest:
-            prev_box = (lox, loy, hix, hiy)
-    return blocks
+def _overlap(rect, x0, y0, x1, y1) -> int:
+    """Blocks of `rect` inside [x0..x1]x[y0..y1]."""
+    w = min(rect[2], x1) - max(rect[0], x0) + 1
+    h = min(rect[3], y1) - max(rect[1], y0) + 1
+    return w * h if w > 0 and h > 0 else 0
+
+
+class _CoverCounts:
+    """The sibling-collapsed cover of a deepest-cell rectangle, as per-level
+    index rectangles.  At level L:
+
+    * `touch[L]` holds the blocks meeting the rectangle;
+    * `inside[L]` those lying fully inside it (at the deepest level, every
+      cell of it);
+    * `hole[L]` the children of `inside[L-1]`, a sub-rectangle of `inside[L]`.
+
+    A cover block at level L is a block of `inside[L]` outside `hole[L]`: it
+    lies inside and its parent does not.  A group at level L < deepest is a
+    block of `touch[L]` outside `inside[L]`; its cover blocks are all deeper.
+    """
+
+    def __init__(self, i0, j0, i1, j1, tgrid: TessGrid):
+        self.side = tgrid.side
+        self.deepest = tgrid.deepest
+        self.touch, self.inside, self.hole = [], [], []
+        s = self.side
+        for level in range(tgrid.levels):
+            f = tgrid.span(level)
+            self.touch.append((i0 // f, j0 // f, i1 // f, j1 // f))
+            if level < self.deepest:
+                self.inside.append(_level_inside_box(i0, j0, i1, j1, f))
+            else:
+                self.inside.append((i0, j0, i1, j1))
+            if level == 0:
+                self.hole.append((1, 1, 0, 0))
+            else:
+                lox, loy, hix, hiy = self.inside[level - 1]
+                self.hole.append((lox * s, loy * s, (hix + 1) * s - 1, (hiy + 1) * s - 1))
+
+    def is_inside(self, level, a, b) -> bool:
+        x0, y0, x1, y1 = self.inside[level]
+        return x0 <= a <= x1 and y0 <= b <= y1
+
+    def blocks(self) -> list[int]:
+        """Cover blocks per level."""
+        return [_area(self.inside[L]) - _overlap(self.inside[L], *self.hole[L])
+                for L in range(self.deepest + 1)]
+
+    def groups(self) -> list[int]:
+        """Groups per level; none at the deepest level."""
+        return [_area(self.touch[L]) - _area(self.inside[L])
+                for L in range(self.deepest)] + [0]
+
+    def within(self, level, a, b):
+        """(cover blocks, groups) per deeper level L > level inside the
+        level-`level` block (a, b), as two dicts keyed by L."""
+        blocks, groups = {}, {}
+        for L in range(level + 1, self.deepest + 1):
+            t = self.side ** (L - level)
+            sub = (a * t, b * t, (a + 1) * t - 1, (b + 1) * t - 1)
+            inside = _overlap(self.inside[L], *sub)
+            blocks[L] = inside - _overlap(self.hole[L], *sub)
+            groups[L] = _overlap(self.touch[L], *sub) - inside if L < self.deepest else 0
+        return blocks, groups
+
+    def children(self, level, a, b):
+        """Level-(level+1) blocks of (a, b) that meet the rectangle."""
+        s = self.side
+        x0, y0, x1, y1 = self.touch[level + 1]
+        return [(x, y) for x in range(max(a * s, x0), min((a + 1) * s - 1, x1) + 1)
+                for y in range(max(b * s, y0), min((b + 1) * s - 1, y1) + 1)]
 
 
 def constrained(bbox: BoundingBox, k: int, tgrid: TessGrid = OGB) -> Tessellation:
     """At most k tiles covering the box, or the flagged level-0 cover when
-    even whole level-0 tiles exceed k."""
+    even whole level-0 tiles exceed k.
+
+    Starting from the sibling-collapsed cover, the greedy inserts aggregate
+    tiles top-down.  A level-i aggregate is necessary iff the tiles at levels
+    <= i plus the distinct level-(i+1) ancestors of everything deeper still
+    exceed k; while it is, the candidate ancestor with the smallest
+    tile-stretch (then the smallest sort key) is inserted and its
+    descendants dropped.  An insertion at level i leaves that test unchanged
+    at every coarser level, so the levels are settled in turn, coarsest
+    first, and a level-i candidate still holds its initial cover when it is
+    chosen.  The greedy therefore needs only counts, which `_CoverCounts`
+    gives by rectangle arithmetic; only the candidates of the level being
+    settled and the at most k tiles of the result are ever built.
+    """
     if k < 1:
         raise TessellationError("k must be >= 1, got %r" % (k,))
     i0, j0, i1, j1 = tgrid.deepest_index_box(bbox)
@@ -339,84 +393,45 @@ def constrained(bbox: BoundingBox, k: int, tgrid: TessGrid = OGB) -> Tessellatio
     if (a1 - a0 + 1) * (b1 - b0 + 1) > k:
         blocks = [(0, a, b) for a in range(a0, a1 + 1) for b in range(b0, b1 + 1)]
         return _blocks_to_tessellation(blocks, bbox, tgrid, violated=True)
-    blocks = _collapsed_cover(i0, j0, i1, j1, tgrid)
-    if len(blocks) > k:
-        blocks = _greedy_reduce(blocks, k, bbox, tgrid)
-    return _blocks_to_tessellation(blocks, bbox, tgrid)
 
-
-def _greedy_reduce(blocks: Sequence[Block], k: int, bbox, tgrid: TessGrid) -> set[Block]:
-    """Shrink the cover to <= k tiles by inserting aggregate tiles top-down.
-
-    A level-i aggregate is necessary iff the tiles at levels <= i plus the
-    distinct level-(i+1) ancestors of everything deeper still exceed k; when
-    it is, the candidate ancestor with the smallest tile-stretch is inserted
-    and its descendants dropped.  Candidate stretches never change, so each
-    level keeps a lazily pruned heap.
-    """
+    cover = _CoverCounts(i0, j0, i1, j1, tgrid)
+    n_blocks = cover.blocks()
+    n_groups = cover.groups()
     qcells = tgrid.query_cells(bbox)
-    side = tgrid.side
-    levels = tgrid.levels
     deepest = tgrid.deepest
-
-    cover = set(blocks)
-    n_by_level = [0] * levels
-    groups: list[dict[tuple[int, int], set[Block]]] = [dict() for _ in range(levels)]
-    for blk in cover:
-        level, a, b = blk
-        n_by_level[level] += 1
-        for anc in range(level):
-            f = side ** (level - anc)
-            groups[anc].setdefault((a // f, b // f), set()).add(blk)
-
-    heaps: list[list] = [[] for _ in range(levels)]
-    for level in range(deepest):
-        entries = []
-        for key in groups[level]:
-            blk = (level, key[0], key[1])
-            entries.append((_block_stretch(blk, qcells, tgrid),
-                            tgrid.block_sort_key(blk), key))
-        heapq.heapify(entries)
-        heaps[level] = entries
-
-    total = len(cover)
-    while total > k:
-        for i in range(deepest):
-            finalized = sum(n_by_level[:i + 1])
-            remaining = n_by_level[i + 1] + len(groups[i + 1])
-            if finalized + remaining <= k:
-                continue
-            heap = heaps[i]
-            while heap and heap[0][2] not in groups[i]:
-                heapq.heappop(heap)
-            if not heap:
-                continue
-            _, _, key = heapq.heappop(heap)
-            members = groups[i].pop(key)
-            for blk in members:
-                level, a, b = blk
-                cover.remove(blk)
-                n_by_level[level] -= 1
-                for anc in range(level):
-                    if anc == i:
-                        continue
-                    f = side ** (level - anc)
-                    bucket = groups[anc].get((a // f, b // f))
-                    if bucket is not None:
-                        bucket.discard(blk)
-                        if not bucket:
-                            del groups[anc][(a // f, b // f)]
-            new_blk = (i, key[0], key[1])
-            cover.add(new_blk)
-            n_by_level[i] += 1
-            for anc in range(i):
-                f = side ** (i - anc)
-                groups[anc].setdefault((key[0] // f, key[1] // f), set()).add(new_blk)
-            total = len(cover)
-            break
-        else:
-            raise TessellationError("could not reduce cover to %d tiles" % k)
-    return cover
+    out: list[Block] = []
+    frontier = [(a, b) for a in range(a0, a1 + 1) for b in range(b0, b1 + 1)]
+    for level in range(deepest + 1):
+        groups = []
+        for a, b in frontier:
+            if level == deepest or cover.is_inside(level, a, b):
+                out.append((level, a, b))
+            else:
+                groups.append((a, b))
+        # Tiles at levels <= level, plus the level-(level+1) blocks and
+        # groups that everything deeper would collapse to.
+        need = sum(n_blocks[:level + 2]) + n_groups[level + 1] if groups else 0
+        merged = set()
+        if need > k:
+            ranked = sorted(groups, key=lambda g: (
+                _block_stretch((level, g[0], g[1]), qcells, tgrid),
+                tgrid.block_sort_key((level, g[0], g[1]))))
+            for a, b in ranked:
+                if need <= k:
+                    break
+                blocks, inner = cover.within(level, a, b)
+                for L in blocks:
+                    n_blocks[L] -= blocks[L]
+                    n_groups[L] -= inner[L]
+                n_blocks[level] += 1
+                need += 1 - blocks[level + 1] - inner[level + 1]
+                merged.add((a, b))
+                out.append((level, a, b))
+        frontier = [c for g in groups if g not in merged
+                    for c in cover.children(level, *g)]
+    if len(out) > k:
+        raise TessellationError("could not reduce cover to %d tiles" % k)
+    return _blocks_to_tessellation(out, bbox, tgrid)
 
 
 def optimal_cover(bbox: BoundingBox, k: int, tgrid: TessGrid) -> Tessellation:

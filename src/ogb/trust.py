@@ -39,7 +39,7 @@ from cryptography.hazmat.primitives.serialization import (
 )
 
 from .errors import ValidationError
-from .names import Name, SYSTEM_ROOT, is_identifier
+from .names import Name, SYSTEM_ROOT, computed_once, is_identifier
 
 CERT_COMPONENT = "certs"
 ADMIN_IDENTITY = "/OGB/admin"
@@ -150,7 +150,7 @@ class Certificate:
     issuer_key_locator: str
     signature: bytes
 
-    @property
+    @computed_once
     def name(self) -> Name:
         return cert_name(self.identity)
 
@@ -249,12 +249,13 @@ class TrustStore:
             return None
         try:
             wire = self.fetcher(Name.from_text(locator))
+            if wire is None:
+                return None
+            # A garbled or hostile reply is as good as no reply.
+            cert = Certificate.from_wire(wire)
+            if cert.name.text != locator:
+                return None
         except Exception:
-            return None
-        if wire is None:
-            return None
-        cert = Certificate.from_wire(wire)
-        if cert.name.text != locator:
             return None
         self._certs[locator] = cert
         return cert

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -19,7 +20,9 @@ from ogb.bloom import (
     publication_name,
     theoretical_fpr,
 )
+from ogb.cluster import BloomService
 from ogb.errors import StorageError
+from ogb.geodata import canonical_json
 
 PREFIX = "ndn:/OGB/12/41/51/89/GPS-ID"
 
@@ -267,3 +270,26 @@ def test_theoretical_fpr_values():
     assert theoretical_fpr(1 << 20, 7, 100000) == pytest.approx(0.0065013, rel=1e-4)
     assert theoretical_fpr(1 << 20, 7, 0) == 0.0
     assert 0.0 < theoretical_fpr(1 << 10, 3, 100) < 1.0
+
+
+def test_server_membership_equals_the_per_key_test():
+    rng = random.Random(18)
+    server = BloomServer(m=1 << 12, h=5, engines=["e1"])
+    keys = ["ndn:/OGB/%d/%d/%d%d/GPS-ID" % (rng.randrange(-180, 180),
+                                            rng.randrange(-90, 90),
+                                            rng.randrange(10), rng.randrange(10))
+            for _ in range(300)]
+    for key in keys[::3]:
+        server.global_bf.add(key)
+    bits = server.membership(keys)
+    assert bits == [server.global_bf.contains(key) for key in keys]
+    assert all(type(bit) is bool for bit in bits)
+    assert 100 <= sum(bits) < 300
+    assert server.membership([]) == []
+
+
+def test_a_non_string_prefix_gets_the_service_error_reply():
+    service = BloomService(BloomServer(m=1 << 12, h=5))
+    for prefixes in ([1], [PREFIX, None], [[PREFIX]]):
+        reply = service._reply(canonical_json({"op": "bf-query", "prefixes": prefixes}))
+        assert "error" in json.loads(reply)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -8,7 +9,7 @@ from ogb import trust
 from ogb.cluster import ClusterConfig, SimCluster
 from ogb.errors import AuthorizationError, PartialResultError
 from ogb.frontend import Credentials, InsertHandler, QueryHandler, RangeQuery
-from ogb.geodata import make_ogb_data_set, parse_feature
+from ogb.geodata import OgbData, canonical_json, make_ogb_data_set, parse_feature
 from ogb.grid import BoundingBox
 
 from conftest import starbucks_dict
@@ -315,3 +316,57 @@ def test_matches_brute_force_oracle():
                 assert got == expect, (trial, mode, use_bf)
                 assert out.counts["tilesQueried"] <= out.counts["tilesTessellated"]
                 assert out.counts["itemsAfterFilter"] <= out.counts["itemsFetched"]
+
+
+def test_a_repeated_tile_query_reuses_its_signed_interests(monkeypatch):
+    cluster = world_cluster()
+    qh, ih = handlers(cluster)
+    assert ih.insert(starbucks_dict()).all_accepted
+    seen = []
+    verify = trust.TrustStore.verify_tile_interest
+
+    def recording(store, name_text, payload, envelope, tid):
+        seen.append((name_text, payload, envelope.to_dict()))
+        return verify(store, name_text, payload, envelope, tid)
+
+    monkeypatch.setattr(trust.TrustStore, "verify_tile_interest", recording)
+    signs = []
+    sign = trust.KeyPair.sign
+    monkeypatch.setattr(trust.KeyPair, "sign",
+                        lambda kp, data: signs.append(kp) or sign(kp, data))
+    rounds = []
+    for _ in range(2):
+        cluster.flush_caches()          # so every interest reaches the engine
+        seen.clear()
+        del signs[:]
+        assert [f.oid for f in qh.range_query(rome_query()).features] == ["1234"]
+        rounds.append((sorted(seen), [kp for kp in signs if kp is qh.credentials.keypair]))
+    (first, first_signs), (second, second_signs) = rounds
+    assert first and second == first
+    assert len(first_signs) == len(first) and second_signs == []
+    creds = qh.credentials
+    for name_text, payload, envelope in first:
+        fresh = trust.sign_envelope(creds.keypair, creds.certificate, name_text, payload)
+        assert fresh.to_dict() == envelope
+
+
+def test_an_insert_request_is_the_canonical_json_of_its_items(monkeypatch):
+    cluster = world_cluster()
+    _, ih = handlers(cluster)
+    sent = []
+    get = cluster.substrate.get
+
+    def recording(name, **kwargs):
+        sent.append(kwargs.get("payload"))
+        return get(name, **kwargs)
+
+    monkeypatch.setattr(cluster.substrate, "get", recording)
+    feature = multipoint("m1", [[12.511, 41.891], [12.531, 41.891]])
+    feature["properties"]["note"] = "café ☕"
+    assert ih.insert(feature).all_accepted
+    request = json.loads(sent[-1])
+    assert canonical_json(request) == sent[-1]
+    assert request["op"] == "insert"
+    items = [OgbData.from_dict(d) for d in request["items"]]
+    assert [i.to_dict() for i in items] == request["items"]
+    assert {i.body_type for i in items} == {"inline", "reference"}

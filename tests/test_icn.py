@@ -585,3 +585,12 @@ def test_pit_sweeps_expired_entries_but_keeps_subscriptions():
     producer.satisfy(content)
     assert net.loop.run_until(lambda: subscription.done)
     assert subscription.result().payload == b"event"
+
+
+@pytest.mark.parametrize("name", ["", "ndn:/", "ndn:", "OGB/12", "ndn:/OGB//12",
+                                  "ndn:/OGB/12/", "ndn://OGB", "/ndn:/OGB"])
+def test_fib_lookup_refuses_what_name_parsing_refuses(name):
+    fib = Fib()
+    fib.add("ndn:/OGB", "root")
+    with pytest.raises(NameParseError):
+        fib.lookup(name)

@@ -12,18 +12,18 @@ import pytest
 from ogb import trust
 from ogb.cluster import (ClusterConfig, KeyStore, SimCluster, SocketCluster,
                          network_cert_fetcher)
-from ogb.engine import bulk_channel
+from ogb.engine import Engine, bulk_channel
 from ogb.errors import ConfigError, NoRouteError, ProtocolError, TimeoutError_
 from ogb.frontend import Credentials, InsertHandler, QueryHandler, RangeQuery
 from ogb.geodata import (INLINE, REFERENCE, OgbData, canonical_data_name,
-                         canonical_json, is_gone, make_ogb_data_set,
+                         WireTile, canonical_json, is_gone, make_ogb_data_set,
                          parse_feature)
 from ogb.grid import BoundingBox
 from ogb.icn import wire
 from ogb.icn.core import (DEFAULT_LIFETIME_MS, PIT_SWEEP_MIN, ContentObject,
                           Interest, build_segments)
 from ogb.icn.sockets import ContentServer, SocketSubstrate
-from ogb.names import DataName, Name, tile_prefix
+from ogb.names import DataName, Name, TileName, tile_prefix
 from ogb.trust import TrustEnvelope
 
 from conftest import bad_publications, starbucks_dict
@@ -831,5 +831,51 @@ def test_a_query_drops_stored_items_that_speak_for_another(mode, tmp_path,
         report = _bob_query(bob_qh)
         assert [f.raw for f in report.features] == [bob]
         assert report.counts["itemsRejected"] >= 2
+    finally:
+        close()
+
+
+@pytest.mark.parametrize("mode", ["sim", "socket"])
+def test_a_query_drops_items_spliced_into_a_listing(mode, tmp_path, monkeypatch):
+    cluster, ih, bob_qh, bob, eve, close = _forgery_world(mode, tmp_path)
+    try:
+        # Eve's Inline of tenant Bar, and Bob's own Inline from its tile.
+        east = cluster.engines["east"]
+        eve_wire = east.co_table[canonical_data_name(eve).name.text]
+        bob_name = canonical_data_name(parse_feature(bob))
+        bob_wire = east.co_table[bob_name.name.text]
+        honest = Engine.tile_query
+        spliced_in = []
+
+        def spliced(engine, tile_name):
+            listing = honest(engine, tile_name)
+            extra = [eve_wire] + ([bob_wire] if tile_name.tile != bob_name.tile else [])
+            spliced_in.append(len(extra))
+            return WireTile(listing.name, listing.items + extra, listing.freshness_ms)
+
+        monkeypatch.setattr(Engine, "tile_query", spliced)
+        cluster.flush_caches()
+        report = _bob_query(bob_qh)
+        assert [f.raw for f in report.features] == [bob]
+        assert len(spliced_in) == report.counts["tilesQueried"]
+        assert report.counts["itemsRejected"] == sum(spliced_in)
+    finally:
+        close()
+
+
+@pytest.mark.parametrize("mode", ["sim", "socket"])
+def test_a_query_drops_a_listing_of_another_tile_name(mode, tmp_path, monkeypatch):
+    cluster, ih, bob_qh, bob, eve, close = _forgery_world(mode, tmp_path)
+    try:
+        honest = Engine.tile_query
+
+        def other_tenants(engine, tile_name):
+            return honest(engine, TileName(tile_name.tile, "Bar", tile_name.cid))
+
+        monkeypatch.setattr(Engine, "tile_query", other_tenants)
+        cluster.flush_caches()
+        report = _bob_query(bob_qh)
+        assert report.features == []
+        assert report.counts["itemsRejected"] >= 1
     finally:
         close()

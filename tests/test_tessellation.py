@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import heapq
 import math
 import random
 
@@ -8,6 +9,7 @@ import pytest
 from ogb import tessellation as tess
 from ogb.errors import OutOfExtent, UndefinedStretch
 from ogb.grid import BoundingBox, GeoPoint, TileId
+from ogb.names import tile_prefix
 from ogb.tessellation import (
     OGB,
     DemoGrid,
@@ -139,8 +141,9 @@ def test_fast_cover_matches_explicit_reduction():
         lat = rng.uniform(-40, 40)
         b = box(lng, lat, lng + rng.uniform(0.001, 1.2), lat + rng.uniform(0.001, 1.2))
         explicit = mst_reduce(min_stretch(b))
-        fast = tess._collapsed_cover(*OGB.deepest_index_box(b), OGB)
-        assert {OGB.tile_block(t) for t in explicit.tiles} == set(fast)
+        # With room for every tile, the cover is the collapsed one unreduced.
+        fast = constrained(b, len(explicit.tiles))
+        assert fast.tiles == explicit.tiles
 
 
 def test_greedy_saturates_at_k():
@@ -221,3 +224,160 @@ def test_optimal_cover_is_exact_on_tiny_case():
     assert sorted(best.tiles) == [(0, 0, 0), (0, 1, 0)]
     loose = optimal_cover(b, 8, g)
     assert loose.stretch <= best.stretch
+
+
+# -- the counting greedy against the explicit one ------------------------------
+#
+# `_reference_constrained` is the cover-materialising greedy that
+# `constrained` replaced: it builds the whole sibling-collapsed cover, keeps a
+# set of cover blocks per candidate ancestor, and pops each level's candidates
+# from a heap.  It is kept here only as the oracle for the counting version.
+
+
+def _reference_sort_key(block, tgrid):
+    if isinstance(tgrid, DemoGrid):
+        return block
+    return tile_prefix(tgrid.block_tile(block)).components
+
+
+def _reference_rect_minus(x0, y0, x1, y1, hx0, hy0, hx1, hy1):
+    for a in range(x0, x1 + 1):
+        for b in range(y0, y1 + 1):
+            if not (hx0 <= a <= hx1 and hy0 <= b <= hy1):
+                yield a, b
+
+
+def _reference_collapsed_cover(i0, j0, i1, j1, tgrid):
+    blocks = []
+    prev_box = None
+    for level in range(tgrid.levels):
+        f = tgrid.span(level)
+        if level < tgrid.deepest:
+            lox, loy, hix, hiy = tess._level_inside_box(i0, j0, i1, j1, f)
+            if lox > hix or loy > hiy:
+                prev_box = (lox, loy, hix, hiy)
+                continue
+        else:
+            lox, loy, hix, hiy = i0, j0, i1, j1
+        if prev_box is None:
+            hole = (1, 1, 0, 0)
+        else:
+            plox, ploy, phix, phiy = prev_box
+            s = tgrid.side
+            hole = (plox * s, ploy * s, (phix + 1) * s - 1, (phiy + 1) * s - 1)
+        blocks.extend((level, a, b)
+                      for a, b in _reference_rect_minus(lox, loy, hix, hiy, *hole))
+        if level < tgrid.deepest:
+            prev_box = (lox, loy, hix, hiy)
+    return blocks
+
+
+def _reference_greedy_reduce(blocks, k, bbox, tgrid):
+    qcells = tgrid.query_cells(bbox)
+    side, levels, deepest = tgrid.side, tgrid.levels, tgrid.deepest
+    cover = set(blocks)
+    n_by_level = [0] * levels
+    groups = [dict() for _ in range(levels)]
+    for blk in cover:
+        level, a, b = blk
+        n_by_level[level] += 1
+        for anc in range(level):
+            f = side ** (level - anc)
+            groups[anc].setdefault((a // f, b // f), set()).add(blk)
+    heaps = [[] for _ in range(levels)]
+    for level in range(deepest):
+        entries = []
+        for key in groups[level]:
+            blk = (level, key[0], key[1])
+            entries.append((tess._block_stretch(blk, qcells, tgrid),
+                            _reference_sort_key(blk, tgrid), key))
+        heapq.heapify(entries)
+        heaps[level] = entries
+    while len(cover) > k:
+        for i in range(deepest):
+            finalized = sum(n_by_level[:i + 1])
+            remaining = n_by_level[i + 1] + len(groups[i + 1])
+            if finalized + remaining <= k:
+                continue
+            heap = heaps[i]
+            while heap and heap[0][2] not in groups[i]:
+                heapq.heappop(heap)
+            if not heap:
+                continue
+            _, _, key = heapq.heappop(heap)
+            for blk in groups[i].pop(key):
+                level, a, b = blk
+                cover.remove(blk)
+                n_by_level[level] -= 1
+                for anc in range(level):
+                    if anc == i:
+                        continue
+                    f = side ** (level - anc)
+                    bucket = groups[anc].get((a // f, b // f))
+                    if bucket is not None:
+                        bucket.discard(blk)
+                        if not bucket:
+                            del groups[anc][(a // f, b // f)]
+            new_blk = (i, key[0], key[1])
+            cover.add(new_blk)
+            n_by_level[i] += 1
+            for anc in range(i):
+                f = side ** (i - anc)
+                groups[anc].setdefault((key[0] // f, key[1] // f), set()).add(new_blk)
+            break
+        else:
+            raise AssertionError("reference could not reduce to %d tiles" % k)
+    return cover
+
+
+def _reference_constrained(bbox, k, tgrid):
+    """(tiles, stretch, constraint_violated) of the explicit greedy."""
+    i0, j0, i1, j1 = tgrid.deepest_index_box(bbox)
+    root = tgrid.span(0)
+    violated = (i1 // root - i0 // root + 1) * (j1 // root - j0 // root + 1) > k
+    if violated:
+        blocks = [(0, a, b) for a in range(i0 // root, i1 // root + 1)
+                  for b in range(j0 // root, j1 // root + 1)]
+    else:
+        blocks = _reference_collapsed_cover(i0, j0, i1, j1, tgrid)
+        if len(blocks) > k:
+            blocks = _reference_greedy_reduce(blocks, k, bbox, tgrid)
+    area = sum(tgrid.span(level) ** 2 for level, _, _ in blocks)
+    qx0, qy0, qx1, qy1 = tgrid.query_cells(bbox)
+    qarea = (qx1 - qx0) * (qy1 - qy0)
+    stretch = area / qarea if qarea > 0 else math.inf
+    ordered = sorted(blocks, key=lambda blk: _reference_sort_key(blk, tgrid))
+    return [tgrid.block_tile(blk) for blk in ordered], stretch, violated
+
+
+def _identity_corpus(rng, count):
+    # test_02's four size classes plus the benchmark's 0.01-1 degree boxes.
+    for lo, hi in ((0.02, 0.1), (0.1, 1.0), (1.0, 5.0), (5.0, 15.0), (0.01, 1.0)):
+        for _ in range(count):
+            w, h = rng.uniform(lo, hi), rng.uniform(lo, hi)
+            x = rng.uniform(-170.0, 170.0 - w)
+            y = rng.uniform(-80.0, 80.0 - h)
+            yield box(x, y, x + w, y + h)
+
+
+@pytest.mark.parametrize("k", [1, 2, 25, 50, 100, 200])
+def test_counting_greedy_matches_explicit_greedy(k):
+    rng = random.Random(1800 + k)
+    cases = [(b, OGB) for b in _identity_corpus(rng, 12)]
+    g = DemoGrid(roots_x=6, roots_y=6)
+    cases += [(demo_box(g, rng), g) for _ in range(60)]
+    for b, tgrid in cases:
+        got = constrained(b, k, tgrid)
+        tiles, stretch, violated = _reference_constrained(b, k, tgrid)
+        assert got.tiles == tiles
+        assert got.constraint_violated == violated
+        assert got.stretch == stretch
+
+
+def test_block_sort_key_is_the_tile_prefix():
+    rng = random.Random(17)
+    for _ in range(3000):
+        level = rng.randrange(OGB.levels)
+        per_axis = OGB.side ** level
+        blk = (level, rng.randrange(360 * per_axis), rng.randrange(180 * per_axis))
+        assert OGB.block_sort_key(blk) == tile_prefix(OGB.block_tile(blk)).components

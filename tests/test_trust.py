@@ -299,3 +299,13 @@ def test_memo_is_safe_across_threads(keyring, monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert len(store._verified) <= 3
+
+
+@pytest.mark.parametrize("reply", [b"{not json", b"[]", b'{"identity": 7}', b"\xff",
+                                   b"[" * 100000])
+def test_a_garbled_certificate_reply_is_cert_unavailable(keyring, reply):
+    kp, cert = keyring.user("Foo", "Alice")
+    store = TrustStore(keyring.admin_cert, fetcher=lambda name: reply)
+    env = sign_envelope(kp, cert, NAME, PAYLOAD)
+    ok, reason = store.verify_data_content(NAME, PAYLOAD, env, tid="Foo", uid="Alice")
+    assert not ok and reason == trust.REASON_CERT_UNAVAILABLE
