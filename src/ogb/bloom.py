@@ -43,6 +43,10 @@ DEFAULT_H = 7
 # so each step fills whole bytes, and small, so no m-sized temporary is made.
 _BITMAP_CHUNK = 1 << 16
 
+# Keys below which hashing one at a time beats `bucket_index_matrix`, whose
+# numpy calls cost about as much as hashing a dozen tile prefixes in Python.
+_VECTOR_MIN_KEYS = 12
+
 BF_TOPIC = SCHEME + SYSTEM_ROOT + "/BF"
 BF_QUERY_ROOT = SCHEME + SYSTEM_ROOT + "/bf-query"
 
@@ -406,10 +410,10 @@ class BloomServer:
         self.global_bf.bits[:] = merged.to_bytes(len(self.global_bf.bits), "little")
 
     def membership(self, prefixes: Sequence[str]) -> list[bool]:
-        """`global_bf.contains` of each prefix, hashed and tested in one
-        numpy pass."""
-        if not prefixes:
-            return []
+        """`global_bf.contains` of each prefix: one at a time for a short
+        list, else hashed and tested in one numpy pass."""
+        if len(prefixes) < _VECTOR_MIN_KEYS:
+            return [self.global_bf.contains(prefix) for prefix in prefixes]
         rows = bucket_index_matrix(prefixes, self.m, self.h)
         bits = numpy.frombuffer(self.global_bf.bits, dtype=numpy.uint8)
         return ((bits[rows >> 3] >> (rows & 7)) & 1).all(axis=1).tolist()

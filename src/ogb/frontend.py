@@ -7,9 +7,12 @@ every returned item, dereference stored-once bodies (each canonical object
 fetched at most once per query), then dedupe and post-filter.  A listing
 speaks only for the tile name it was asked for: a listing under another
 name, and a listed item of another tile or tenant, are dropped and counted
-as rejected before any signature is checked.  A handler signs each tile
-interest once and reuses the envelope while it stays in a bounded LRU;
-Ed25519 signatures are deterministic, so the engine sees the same bytes.
+as rejected before any signature is checked.  The segment-0 interests of
+one query are signed as one batch (`trust.sign_batch`): one Ed25519
+signature for the query, which an engine checks once, while the
+certificate, chain and tenant checks still run on every interest.  A later
+segment's interest is signed on its own.  Ed25519 signatures are
+deterministic, so a repeated query over the same tiles sends the same bytes.
 
 The write path mirrors the read path's routing: each item's responsible
 engine is found with an address-resolution GET, cached per served prefix, and
@@ -25,7 +28,7 @@ from typing import Union
 
 from . import tessellation, trust
 from .bloom import BF_QUERY_ROOT
-from .engine import ACCEPTED, ItemStatus, LruCache, bulk_channel
+from .engine import ACCEPTED, ItemStatus, bulk_channel
 from .errors import (
     AuthorizationError,
     ConfigError,
@@ -47,7 +50,7 @@ from .geodata import (
     post_filter,
 )
 from .grid import BoundingBox
-from .names import IpResName, Name, TileName, routing_prefix, tile_prefix
+from .names import IpResName, Name, TileName, routing_prefix, segment_name, tile_prefix
 
 log = logging.getLogger(__name__)
 
@@ -168,21 +171,6 @@ class _SubstrateClient:
 class QueryHandler(_SubstrateClient):
     """Resolves range queries in two phases: tile-querying and post-filtering."""
 
-    def __init__(self, substrate, trust_store, credentials: Credentials):
-        super().__init__(substrate, trust_store, credentials)
-        # (segment name, payload) -> envelope of a tile interest.  Ed25519
-        # signatures are deterministic, so a kept envelope is byte for byte
-        # the one signing again would give.
-        self._tile_envelopes = LruCache(trust.VERIFIED_MEMO_SIZE)
-
-    def _sign_tile_interest(self, name_text: str, payload: bytes) -> trust.TrustEnvelope:
-        key = (name_text, payload)
-        envelope = self._tile_envelopes.get(key)
-        if envelope is None:
-            envelope = self.credentials.sign(name_text, payload)
-            self._tile_envelopes.put(key, envelope)
-        return envelope
-
     def range_query(self, query: RangeQuery) -> QueryReport:
         if not trust.is_user_of(self.credentials.identity, query.tid):
             raise AuthorizationError(
@@ -238,9 +226,17 @@ class QueryHandler(_SubstrateClient):
 
     def _query_tiles(self, tiles: list, query: RangeQuery):
         tile_names = [TileName(tile, query.tid, query.cid) for tile in tiles]
+        creds = self.credentials
+        firsts = [segment_name(tile_name.name, 0).text for tile_name in tile_names]
+        batch = dict(zip(firsts, trust.sign_batch(
+            creds.keypair, creds.certificate, [(name, b"") for name in firsts])))
+
+        def sign(name_text: str, payload: bytes) -> trust.TrustEnvelope:
+            return batch.get(name_text) or creds.sign(name_text, payload)
+
         requests = [{
             "name": tile_name.name.text,
-            "sign": self._sign_tile_interest,
+            "sign": sign,
             "validator": self._validate_segment,
         } for tile_name in tile_names]
         results = self.substrate.get_many(requests, window=query.window)

@@ -15,7 +15,10 @@ The SocketSubstrate runs the shared consumer (`core.fetch_many`,
 with its one retry per segment) on a wall-clock event loop of its own per
 call, so the frontend runs unchanged over real sockets.  It keeps one
 connection per server, whose reader thread hands each reply by name to
-the inbox of every call waiting on it.
+the inbox of every call waiting on it.  Its FIB routes a name to a server's
+address; an interest routed to a server whose connection has closed first
+redials it once, reading its announcements again, so a restarted server is
+reached again.
 
 Every connection sets TCP_NODELAY: pipelined interests and back-to-back
 replies would otherwise wait for the peer's delayed ACK (Nagle's
@@ -260,31 +263,55 @@ class SocketSubstrate:
 
     def __init__(self, peers: list[tuple[str, int]],
                  connect_timeout_s: float = CONNECT_TIMEOUT_S):
-        self.fib = Fib()
-        self._peers: list[_Peer] = []
+        self.fib = Fib()                     # prefix -> server address
+        self._peers: dict[tuple[str, int], _Peer] = {}
         self._rng = random.Random()
+        self._connect_timeout_s = connect_timeout_s
+        self._dial_lock = threading.Lock()
+        self._closed = False
         for address in peers:
-            self._connect(tuple(address), connect_timeout_s)
+            self._connect(tuple(address))
 
-    def _connect(self, address: tuple[str, int], timeout_s: float) -> None:
-        sock = socket.create_connection(address, timeout=timeout_s)
-        _no_delay(sock)
-        peer = _Peer(sock, address)
-        while True:
-            message = wire.read_frame(sock)
-            if message is None:
-                raise ProtocolError("%s:%d closed during the announce "
-                                    "handshake" % address)
-            if message["type"] != wire.TYPE_ANNOUNCE:
-                raise ProtocolError("expected an announce from %s:%d, got %r"
-                                    % (address + (message["type"],)))
-            self.fib.add(message["name"], peer)
-            if message.get("last"):
-                break
+    def _connect(self, address: tuple[str, int]) -> _Peer:
+        sock = socket.create_connection(address, timeout=self._connect_timeout_s)
+        try:
+            _no_delay(sock)
+            prefixes = []
+            while True:
+                message = wire.read_frame(sock)
+                if message is None:
+                    raise ProtocolError("%s:%d closed during the announce "
+                                        "handshake" % address)
+                if message["type"] != wire.TYPE_ANNOUNCE:
+                    raise ProtocolError("expected an announce from %s:%d, got %r"
+                                        % (address + (message["type"],)))
+                prefixes.append(message["name"])
+                if message.get("last"):
+                    break
+        except BaseException:
+            _shut(sock)
+            raise
+        for prefix in prefixes:
+            self.fib.add(prefix, address)
         sock.settimeout(None)
-        self._peers.append(peer)
+        peer = self._peers[address] = _Peer(sock, address)
         threading.Thread(target=self._read_loop, args=(peer,),
                          daemon=True).start()
+        return peer
+
+    def _peer(self, address: tuple[str, int]) -> _Peer:
+        """The connection to `address`, redialled once if it has closed; a
+        failed redial leaves the closed one, which answers nothing."""
+        peer = self._peers[address]
+        if peer.closed:
+            with self._dial_lock:
+                peer = self._peers[address]
+                if peer.closed and not self._closed:
+                    try:
+                        peer = self._connect(address)
+                    except (OSError, ProtocolError) as exc:
+                        log.debug("redial of %s:%d failed: %s", *address, exc)
+        return peer
 
     def _read_loop(self, peer: _Peer) -> None:
         try:
@@ -296,14 +323,16 @@ class SocketSubstrate:
                     content = wire.parse_content(message)
                     peer.satisfy(content.name, content)
                 elif message["type"] == wire.TYPE_ANNOUNCE:
-                    self.fib.add(message["name"], peer)
+                    self.fib.add(message["name"], peer.address)
         except (ProtocolError, OSError):
             pass
         finally:
             peer.close()
 
     def close(self) -> None:
-        for peer in self._peers:
+        with self._dial_lock:
+            self._closed = True
+        for peer in self._peers.values():
             peer.close()
 
     def now_ms(self) -> float:
@@ -311,17 +340,19 @@ class SocketSubstrate:
 
     def _express(self, loop: _CallLoop, interest: Interest, on_content) -> None:
         """Send an interest to the server its name routes to.  No route, a
-        closed connection or a failed send answers it with None."""
-        peer = self.fib.lookup(interest.name)
+        closed connection that a redial cannot replace, or a failed send
+        answers it with None."""
+        address = self.fib.lookup(interest.name)
+        peer = None if address is None else self._peer(address)
         nonce = self._rng.getrandbits(63)
         if (peer is None or not peer.add_waiter(interest.name, (loop, on_content))
                 or not peer.send(wire.interest_message(interest, nonce))):
             loop.inbox.put((on_content, None))
 
     def _withdraw(self, loop: _CallLoop, name: str, on_content) -> None:
-        peer = self.fib.lookup(name)
-        if peer is not None:
-            peer.drop_waiter(name, (loop, on_content))
+        address = self.fib.lookup(name)
+        if address is not None:
+            self._peers[address].drop_waiter(name, (loop, on_content))
 
     def _call(self) -> tuple:
         """express, withdraw and a fresh loop for one call."""

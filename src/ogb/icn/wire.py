@@ -2,7 +2,10 @@
 
 Every frame is a 4-byte big-endian length followed by one JSON object with
 a `type` of "interest", "content" or "announce"; binary payloads travel
-base64-encoded.
+base64-encoded.  An envelope travels as its `TrustEnvelope.to_dict()`
+under "signature": a batch envelope's adds a "path" key, so a plain one's
+bytes are unchanged.  An envelope that does not decode, path included,
+makes the frame malformed.
 """
 
 from __future__ import annotations

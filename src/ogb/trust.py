@@ -13,6 +13,18 @@ Two signing rules are fixed in code, for engines and query-handlers alike:
   tenant, `user_identity(tid, u)` for any uid `u`;
 * data content, and a request to delete it, must be signed by exactly the
   user its data name names, `user_identity(tid, uid)`.
+
+A client signs the segment-0 interests of one range query together
+(`sign_batch`): the leaves of a Merkle tree are the messages each interest
+would sign alone, and one Ed25519 signature covers the root under
+`BATCH_ROOT_NAME`, a name no interest or content can carry.  Each interest
+gets a batch envelope whose `path` holds the sibling hashes from its leaf up
+to the root.  A checker folds the path to the root and checks that root's
+signature through the same memo as every other signature, so an engine pays
+one Ed25519 verify per batch, not per interest; the certificate, chain and
+signer checks still run on every interest.  A batch envelope speaks only for
+the (name, payload) of its own leaf, and replays as a plain envelope does:
+the same interest again, which the signer asked for once already.
 """
 
 from __future__ import annotations
@@ -52,6 +64,14 @@ REASON_CERT_UNAVAILABLE = "cert-unavailable"
 REASON_BAD_CHAIN = "bad-chain"
 REASON_IDENTITY_RULE = "identity-rule"
 REASON_INTEGRITY = "integrity"
+
+# The name a batch signature signs its Merkle root under.  Interest and
+# content names all start with "ndn:/", so none of them can be this one.
+BATCH_ROOT_NAME = "ogb-batch:/merkle-root"
+# Longest leaf-to-root path a batch envelope may carry (2**16 leaves).
+MAX_BATCH_DEPTH = 16
+# The side of a path step's sibling: left or right of the running hash.
+LEFT, RIGHT = "L", "R"
 
 
 def tenant_identity(tid: str) -> str:
@@ -127,20 +147,34 @@ def verify_raw(public_key: bytes, signature: bytes, data: bytes) -> bool:
 
 @dataclass(frozen=True)
 class TrustEnvelope:
-    """Key locator (a certificate name) plus a signature over name+payload."""
+    """Key locator (a certificate name) plus a signature over name+payload,
+    or, with a `path`, over the root of a batch that holds name+payload."""
 
     key_locator: str
     signature: bytes
+    # (side, sibling hash) steps from the leaf up, for a `sign_batch` envelope.
+    path: Optional[tuple[tuple[str, bytes], ...]] = None
 
     def to_dict(self) -> dict:
-        return {
+        data = {
             "keyLocator": self.key_locator,
             "signatureBase64": base64.b64encode(self.signature).decode("ascii"),
         }
+        if self.path is not None:
+            data["path"] = [[side, base64.b64encode(sibling).decode("ascii")]
+                            for side, sibling in self.path]
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrustEnvelope":
-        return cls(data["keyLocator"], base64.b64decode(data["signatureBase64"]))
+        """Raises ValueError or TypeError for a path that is not a list of
+        (side, base64) pairs; what the pairs hold is `batch_root`'s check."""
+        path = data.get("path")
+        if path is not None:
+            if not isinstance(path, list):
+                raise TypeError("envelope path is not a list")
+            path = tuple((side, base64.b64decode(sibling)) for side, sibling in path)
+        return cls(data["keyLocator"], base64.b64decode(data["signatureBase64"]), path)
 
 
 @dataclass(frozen=True)
@@ -211,6 +245,61 @@ def sign_envelope(keypair: KeyPair, cert: Certificate, name_text: str,
     return TrustEnvelope(cert.name.text, keypair.sign(signed_message(name_text, payload)))
 
 
+def _leaf_hash(message: bytes) -> bytes:
+    return hashlib.sha256(b"\x00" + message).digest()
+
+
+def _node_hash(left: bytes, right: bytes) -> bytes:
+    return hashlib.sha256(b"\x01" + left + right).digest()
+
+
+def sign_batch(keypair: KeyPair, cert: Certificate,
+               messages: list[tuple[str, bytes]]) -> list[TrustEnvelope]:
+    """One envelope per (name, payload), all under one signature of the
+    Merkle root of their signed messages.  A level's odd last node moves up
+    unpaired, so node j of a level is the parent of nodes 2j and 2j+1 below.
+    More than 2**MAX_BATCH_DEPTH messages are signed in runs of that many."""
+    envelopes: list[TrustEnvelope] = []
+    run = 1 << MAX_BATCH_DEPTH
+    for start in range(0, len(messages), run):
+        levels = [[_leaf_hash(signed_message(name_text, payload))
+                   for name_text, payload in messages[start:start + run]]]
+        while len(levels[-1]) > 1:
+            level = levels[-1]
+            levels.append([_node_hash(level[j], level[j + 1]) if j + 1 < len(level)
+                           else level[j] for j in range(0, len(level), 2)])
+        signature = keypair.sign(signed_message(BATCH_ROOT_NAME, levels[-1][0]))
+        for leaf in range(len(levels[0])):
+            path = []
+            for depth, level in enumerate(levels[:-1]):
+                j = leaf >> depth
+                if j & 1:
+                    path.append((LEFT, level[j - 1]))
+                elif j + 1 < len(level):
+                    path.append((RIGHT, level[j + 1]))
+            envelopes.append(TrustEnvelope(cert.name.text, signature, tuple(path)))
+    return envelopes
+
+
+def batch_root(message: bytes, path) -> Optional[bytes]:
+    """The Merkle root `path` folds `message`'s leaf into; None for a path
+    longer than MAX_BATCH_DEPTH, a side other than LEFT or RIGHT, or a
+    sibling that is not a 32-byte hash."""
+    if len(path) > MAX_BATCH_DEPTH:
+        return None
+    node = _leaf_hash(message)
+    for side, sibling in path:
+        if not isinstance(sibling, bytes) or len(sibling) != 32:
+            return None
+        if side == LEFT:
+            node = _node_hash(sibling, node)
+        elif side == RIGHT:
+            node = _node_hash(node, sibling)
+        else:
+            return None
+    return node
+
+
 class TrustStore:
     """Certificate cache plus the chain/signer/integrity verifier.
 
@@ -223,6 +312,8 @@ class TrustStore:
     successes are kept in a bounded LRU keyed by a digest of (public key,
     signature, signed bytes), so a changed payload or a re-keyed certificate
     never hits.  Envelope, certificate, chain and signer checks run every call.
+    A batch envelope's path is folded every call too; the memo then holds its
+    root's signature, so the rest of a batch costs no Ed25519 work.
     """
 
     def __init__(self, anchor: Certificate,
@@ -312,8 +403,15 @@ class TrustStore:
             return False, reason
         if signer is not None and not signer(cert.identity):
             return False, REASON_IDENTITY_RULE
-        if not self._signature_ok(cert.public_key, envelope.signature,
-                                  signed_message(name_text, payload)):
+        message = signed_message(name_text, payload)
+        if envelope.path is not None:
+            root = batch_root(message, envelope.path)
+            if root is None:
+                return False, REASON_INTEGRITY
+            message = signed_message(BATCH_ROOT_NAME, root)
+        elif name_text == BATCH_ROOT_NAME:
+            return False, REASON_INTEGRITY      # a batch root is no message
+        if not self._signature_ok(cert.public_key, envelope.signature, message):
             return False, REASON_INTEGRITY
         return True, None
 

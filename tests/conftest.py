@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -113,3 +114,21 @@ def keyring():
     ring = KeyRing()
     ring.user("Foo", "Alice")
     return ring
+
+
+def malformed_batch_envelopes(env):
+    """Variants of a batch envelope that a trust store refuses as integrity:
+    a path too deep, a bad side marker, a sibling of the wrong length, a step
+    on the wrong side, and the root signature with no path."""
+    path = env.path
+    side, sibling = path[0]
+    flipped = trust.LEFT if side == trust.RIGHT else trust.RIGHT
+    too_deep = path + ((trust.RIGHT, bytes(32)),) * (trust.MAX_BATCH_DEPTH + 1 - len(path))
+    return {
+        "too-deep": replace(env, path=too_deep),
+        "bad-side": replace(env, path=(("X", sibling),) + path[1:]),
+        "short-sibling": replace(env, path=((side, sibling[:31]),) + path[1:]),
+        "long-sibling": replace(env, path=((side, sibling + b"\0"),) + path[1:]),
+        "flipped-side": replace(env, path=((flipped, sibling),) + path[1:]),
+        "no-path": replace(env, path=None),
+    }

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from ogb import bloom
 from ogb.bloom import (
     DOWN,
     UP,
@@ -286,6 +287,22 @@ def test_server_membership_equals_the_per_key_test():
     assert all(type(bit) is bool for bit in bits)
     assert 100 <= sum(bits) < 300
     assert server.membership([]) == []
+
+
+def test_short_prefix_lists_are_tested_one_key_at_a_time(monkeypatch):
+    rng = random.Random(19)
+    server = BloomServer(m=1 << 12, h=5, engines=["e1"])
+    keys = ["ndn:/OGB/%d/%d/GPS-ID" % (rng.randrange(-180, 180), rng.randrange(-90, 90))
+            for _ in range(2 * bloom._VECTOR_MIN_KEYS)]
+    for key in keys[::2]:
+        server.global_bf.add(key)
+    expected = [server.global_bf.contains(key) for key in keys]
+    for count in range(len(keys) + 1):
+        assert server.membership(keys[:count]) == expected[:count]
+    # Below the cut-off no key goes through the numpy hashing.
+    monkeypatch.setattr(bloom, "bucket_index_matrix", None)
+    short = keys[:bloom._VECTOR_MIN_KEYS - 1]
+    assert server.membership(short) == expected[:len(short)]
 
 
 def test_a_non_string_prefix_gets_the_service_error_reply():

@@ -318,10 +318,9 @@ def test_matches_brute_force_oracle():
                 assert out.counts["itemsAfterFilter"] <= out.counts["itemsFetched"]
 
 
-def test_a_repeated_tile_query_reuses_its_signed_interests(monkeypatch):
-    cluster = world_cluster()
-    qh, ih = handlers(cluster)
-    assert ih.insert(starbucks_dict()).all_accepted
+def _record_tile_interests(monkeypatch):
+    """The (name, payload, envelope dict) of every tile interest an engine
+    checks, in the order it checks them."""
     seen = []
     verify = trust.TrustStore.verify_tile_interest
 
@@ -330,24 +329,70 @@ def test_a_repeated_tile_query_reuses_its_signed_interests(monkeypatch):
         return verify(store, name_text, payload, envelope, tid)
 
     monkeypatch.setattr(trust.TrustStore, "verify_tile_interest", recording)
+    return seen
+
+
+def _record_signs(monkeypatch):
     signs = []
     sign = trust.KeyPair.sign
     monkeypatch.setattr(trust.KeyPair, "sign",
                         lambda kp, data: signs.append(kp) or sign(kp, data))
+    return signs
+
+
+def test_a_repeated_tile_query_sends_byte_identical_envelopes(monkeypatch):
+    cluster = world_cluster()
+    qh, ih = handlers(cluster)
+    assert ih.insert(starbucks_dict()).all_accepted
+    seen = _record_tile_interests(monkeypatch)
     rounds = []
     for _ in range(2):
         cluster.flush_caches()          # so every interest reaches the engine
         seen.clear()
-        del signs[:]
         assert [f.oid for f in qh.range_query(rome_query()).features] == ["1234"]
-        rounds.append((sorted(seen), [kp for kp in signs if kp is qh.credentials.keypair]))
-    (first, first_signs), (second, second_signs) = rounds
-    assert first and second == first
-    assert len(first_signs) == len(first) and second_signs == []
-    creds = qh.credentials
+        rounds.append(sorted(seen))
+    first, second = rounds
+    assert len(first) > 1 and second == first
+    # One batch: every envelope carries a path and the one root signature,
+    # and each checks out against its own name alone.
+    assert all("path" in envelope for _, _, envelope in first)
+    assert len({envelope["signatureBase64"] for _, _, envelope in first}) == 1
+    store = trust.TrustStore(cluster.anchor, fetcher=cluster.cert_repo.get_wire)
     for name_text, payload, envelope in first:
-        fresh = trust.sign_envelope(creds.keypair, creds.certificate, name_text, payload)
-        assert fresh.to_dict() == envelope
+        assert store.verify_tile_interest(name_text, payload,
+                                          trust.TrustEnvelope.from_dict(envelope),
+                                          "Foo") == (True, None)
+
+
+def test_a_query_signs_its_tile_interests_once_and_each_engine_verifies_once(
+        monkeypatch):
+    cluster = world_cluster(engines=[
+        {"id": "e1", "servedPrefixes": ["ndn:/OGB/12/41"]},
+        {"id": "e2", "servedPrefixes": ["ndn:/OGB/12/42"]},
+    ])
+    qh, ih = handlers(cluster)
+    assert ih.insert(starbucks_dict()).all_accepted
+    seen = _record_tile_interests(monkeypatch)
+    signs = _record_signs(monkeypatch)
+    query = rome_query(bbox=BoundingBox.of(12.505, 41.985, 12.525, 42.013), k=12)
+    memos = {engine_id: engine.trust_store._verified
+             for engine_id, engine in cluster.engines.items()}
+    for repeat in range(2):
+        cluster.flush_caches()
+        seen.clear()
+        del signs[:]
+        before = {engine_id: len(memo) for engine_id, memo in memos.items()}
+        report = qh.range_query(query)
+        assert report.counts["tilesQueried"] == 12
+        assert len(seen) == 12 and all(name.endswith("/seg=0") for name, _, _ in seen)
+        # Both engines answer tiles of the query.
+        assert {name.split("/")[3] for name, _, _ in seen} == {"41", "42"}
+        assert [kp for kp in signs if kp is qh.credentials.keypair] == \
+            [qh.credentials.keypair]
+        # A real Ed25519 verify is what puts an entry in a store's memo.
+        grown = {engine_id: len(memo) - before[engine_id]
+                 for engine_id, memo in memos.items()}
+        assert grown == {"e1": 0 if repeat else 1, "e2": 0 if repeat else 1}
 
 
 def test_an_insert_request_is_the_canonical_json_of_its_items(monkeypatch):

@@ -341,7 +341,7 @@ class OnContentServer:
 
     def waiting(self):
         return [name for client in self._clients
-                for peer in client._peers for name in peer.waiters]
+                for peer in client._peers.values() for name in peer.waiters]
 
     def ask(self, substrate, name, **kwargs):
         got = {}

@@ -1,6 +1,7 @@
 import gc
 import io
 import json
+import random
 import socket
 import sys
 import threading
@@ -9,11 +10,12 @@ import weakref
 
 import pytest
 
-from ogb import trust
+from ogb import tessellation, trust
 from ogb.cluster import (ClusterConfig, KeyStore, SimCluster, SocketCluster,
                          network_cert_fetcher)
 from ogb.engine import Engine, bulk_channel
-from ogb.errors import ConfigError, NoRouteError, ProtocolError, TimeoutError_
+from ogb.errors import (ConfigError, NoRouteError, PartialResultError, ProtocolError,
+                        TimeoutError_)
 from ogb.frontend import Credentials, InsertHandler, QueryHandler, RangeQuery
 from ogb.geodata import (INLINE, REFERENCE, OgbData, canonical_data_name,
                          WireTile, canonical_json, is_gone, make_ogb_data_set,
@@ -26,7 +28,7 @@ from ogb.icn.sockets import ContentServer, SocketSubstrate
 from ogb.names import DataName, Name, TileName, tile_prefix
 from ogb.trust import TrustEnvelope
 
-from conftest import bad_publications, starbucks_dict
+from conftest import bad_publications, malformed_batch_envelopes, starbucks_dict
 
 
 class _FakeSock:
@@ -46,6 +48,11 @@ def test_wire_round_trips():
     interest = Interest("ndn:/OGB/12/x", b"params", envelope, 2500.0)
     parsed = wire.parse_interest(wire.interest_message(interest, nonce=7))
     assert parsed == interest
+    # A batch envelope travels with its path; a plain one has none.
+    assert "path" not in wire.interest_message(interest, nonce=7)["signature"]
+    batched = Interest("ndn:/OGB/12/x", b"", TrustEnvelope(
+        "ndn:/OGB-SYS/certs/x", b"\x01", ((trust.LEFT, bytes(32)), (trust.RIGHT, b"\x07" * 32))))
+    assert wire.parse_interest(wire.interest_message(batched, nonce=8)) == batched
 
     content = ContentObject("ndn:/OGB/12/x/seg=0", b"\x00\xffdata", 60000.0,
                             envelope, final_segment=4)
@@ -70,8 +77,8 @@ def test_wire_rejects_garbage():
             wire.parse_interest({"type": "interest", "name": name, "nonce": 1})
 
 
-def echo_server():
-    server = ContentServer(cache_capacity=8)
+def echo_server(port=0):
+    server = ContentServer(port=port, cache_capacity=8)
     calls = {"count": 0}
 
     def producer(interest, base):
@@ -133,11 +140,46 @@ def test_a_bad_interest_name_kills_no_server_thread(monkeypatch):
         server.stop()
 
 
+def test_threads_of_one_substrate_redial_a_restarted_server_once():
+    server, _ = echo_server()
+    client = SocketSubstrate([server.address])
+    restarted = None
+    interval = sys.getswitchinterval()
+    try:
+        assert client.get("ndn:/echo/a").payload == b"pong" * 6000
+        old = client._peers[server.address]
+        server.stop()
+        limit = time.monotonic() + 5.0
+        while not old.closed:
+            assert time.monotonic() < limit
+            time.sleep(0.01)
+        restarted, _ = echo_server(server.port)
+        sys.setswitchinterval(1e-6)
+        payloads = []
+        threads = [threading.Thread(
+            target=lambda i=i: payloads.append(client.get("ndn:/echo/%d" % i).payload))
+            for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert payloads == [b"pong" * 6000] * 8
+        with restarted.dispatch_lock:
+            assert len(restarted._conns) == 1        # one redial served them all
+    finally:
+        sys.setswitchinterval(interval)
+        client.close()
+        server.stop()
+        if restarted is not None:
+            restarted.stop()
+
+
 def test_connections_set_tcp_nodelay():
     server, _ = echo_server()
     try:
         client = SocketSubstrate([server.address])
-        socks = [peer.sock for peer in client._peers]
+        socks = [peer.sock for peer in client._peers.values()]
         socks += [conn.sock for conn in server._conns]
         assert len(socks) == 2
         for sock in socks:
@@ -879,3 +921,153 @@ def test_a_query_drops_a_listing_of_another_tile_name(mode, tmp_path, monkeypatc
         assert report.counts["itemsRejected"] >= 1
     finally:
         close()
+
+
+def _first_segments(box):
+    """The segment-0 names of Foo's ShopApp tile interests for `box`."""
+    return [TileName(tile, "Foo", "ShopApp").name.text + "/seg=0"
+            for tile in tessellation.constrained(box, 50).tiles]
+
+
+@pytest.mark.parametrize("mode", ["sim", "socket"])
+def test_an_engine_drops_tile_interests_outside_or_malformed_batches(mode, tmp_path):
+    cluster, qh, ih, close = deploy(mode, tmp_path / "storage")
+    try:
+        assert ih.insert(WORLD[0]).all_accepted
+        creds = qh.credentials
+        firsts = _first_segments(QUERIES[0][0])
+        batch = trust.sign_batch(creds.keypair, creds.certificate,
+                                 [(name, b"") for name in firsts[1:]])
+        refused = {"outside the batch": (firsts[0], batch[0])}
+        refused.update((case, (firsts[1], envelope)) for case, envelope
+                       in malformed_batch_envelopes(batch[0]).items())
+        cluster.flush_caches()             # so every interest reaches the engine
+        for case, (first, envelope) in refused.items():
+            with pytest.raises(TimeoutError_):
+                qh.substrate.get(first[:-len("/seg=0")], lifetime_ms=100.0, retries=0,
+                                 sign=lambda name, payload, e=envelope: e)
+        with cluster.servers["east"].dispatch_lock:
+            assert cluster.engines["east"].rejected_interests == len(refused)
+        # The same interest under its genuine envelope is answered.
+        got = qh.substrate.get(firsts[1][:-len("/seg=0")], validator=qh._validate_segment,
+                               sign=lambda name, payload: batch[0])
+        assert got.segments[0].name == firsts[1]
+        assert len(run_queries(qh)[0]) == 1
+    finally:
+        close()
+
+
+@pytest.mark.parametrize("garble", [
+    {"signatureBase64": "A"},           # what a garbled signature has always done
+    {"path": 7}, {"path": "LR"}, {"path": [["L"]]}, {"path": [["L", "A"]]},
+], ids=["signature", "path-number", "path-string", "short-step", "bad-base64"])
+def test_a_garbled_interest_envelope_drops_only_its_connection(garble, tmp_path,
+                                                               monkeypatch):
+    uncaught = []
+    monkeypatch.setattr(threading, "excepthook", uncaught.append)
+    cluster, qh, ih, close = deploy("socket", tmp_path / "storage")
+    try:
+        assert ih.insert(WORLD[0]).all_accepted
+        creds = qh.credentials
+        first = _first_segments(QUERIES[0][0])[0]
+        envelope = trust.sign_batch(creds.keypair, creds.certificate, [(first, b"")])[0]
+        sock = socket.create_connection(cluster.servers["east"].address, timeout=5.0)
+        try:
+            while not wire.read_frame(sock).get("last"):
+                pass                                    # the announcements
+            wire.write_frame(sock, {"type": wire.TYPE_INTEREST, "name": first, "nonce": 1,
+                                    "signature": dict(envelope.to_dict(), **garble)})
+            assert wire.read_frame(sock) is None         # the server hung up
+        finally:
+            sock.close()
+        assert len(run_queries(qh)[0]) == 1
+        assert uncaught == []
+    finally:
+        close()
+
+
+def test_an_old_substrate_redials_a_restarted_cluster(tmp_path):
+    cluster, qh, ih, _ = deploy("socket", tmp_path / "storage", tmp_path / "keys")
+    substrate = qh.substrate
+    try:
+        assert ih.insert(WORLD[0]).all_accepted
+        expected = run_queries(qh)
+        assert len(expected[0]) == 1
+        cluster.stop()
+        limit = time.monotonic() + 5.0
+        while not all(peer.closed for peer in substrate._peers.values()):
+            assert time.monotonic() < limit
+            time.sleep(0.01)
+        # Nothing listens, so the one redial fails and there is no route.
+        with pytest.raises(PartialResultError):
+            run_queries(qh)
+        cluster = SocketCluster(cluster.config)
+        cluster.start()
+        assert run_queries(qh) == expected
+    finally:
+        substrate.close()
+        cluster.stop()
+
+
+HOSTILE_LISTINGS = {
+    "drop": lambda items, rng: [item for item in items if rng.random() < 0.5],
+    "reorder": lambda items, rng: rng.sample(items, len(items)),
+    "duplicate": lambda items, rng: rng.sample(items * 2, 2 * len(items)),
+}
+
+
+@pytest.mark.parametrize("mode", ["sim", "socket"])
+def test_a_hostile_engine_can_hide_results_but_never_forge_them(mode, tmp_path,
+                                                                monkeypatch):
+    cluster, _, ih, close = deploy(mode, tmp_path / "storage")
+    try:
+        users = {}
+        for tid, uid in (("Foo", "Bob"), ("Bar", "Eve")):
+            kp, cert = cluster.issue_user(tid, uid)
+            users[uid] = handlers_for(ih.substrate, cluster.anchor, ih.trust_store.fetcher,
+                                      Credentials(tid, uid, kp, cert))
+        (bob_qh, bob_ih), (_, eve_ih) = users["Bob"], users["Eve"]
+        bob, eve = _feature("Foo", "Bob", 1), _feature("Bar", "Eve", 9)
+        bob_multi = dict(_feature("Foo", "Bob", 2), geometry={
+            "type": "MultiPoint", "coordinates": [[12.505, 41.885], [12.545, 41.905]]})
+        for handler, feature in ((bob_ih, bob), (bob_ih, bob_multi), (eve_ih, eve),
+                                 (ih, WORLD[0]), (ih, WORLD[2])):
+            assert handler.insert(feature).all_accepted
+        # Alice's validly signed items that claim Bob's oid 1, stored as a
+        # store written before the engine checked them would hold them.
+        east = cluster.engines["east"]
+        with cluster.servers["east"].dispatch_lock:
+            for item in forgeries(ih.credentials, parse_feature(eve)):
+                east._put(item.name.name.text, item.to_wire())
+        box = BoundingBox.of(12.50, 41.88, 12.53, 41.90)
+        genuine = {}
+        for raw in (bob, bob_multi, WORLD[0], WORLD[2], eve):
+            f = parse_feature(raw)
+            if f.tid == "Foo" and any(box.contains(p) for p in f.points):
+                genuine[(f.tid, f.cid, f.uid, f.oid)] = canonical_json(raw)
+        assert len(genuine) == 4
+
+        honest = Engine.tile_query
+        for kind, mangle in HOSTILE_LISTINGS.items():
+            for seed in range(3):
+                rng = random.Random(seed)
+
+                def hostile(engine, tile_name):
+                    listing = honest(engine, tile_name)
+                    return WireTile(listing.name, mangle(listing.items, rng),
+                                    listing.freshness_ms)
+
+                monkeypatch.setattr(Engine, "tile_query", hostile)
+                cluster.flush_caches()
+                features = _bob_query(bob_qh).features
+                got = {(f.tid, f.cid, f.uid, f.oid): canonical_json(f.raw)
+                       for f in features}
+                assert len(got) == len(features), (kind, seed)
+                # Every feature is the genuine copy of an oracle answer.
+                assert all(genuine.get(key) == raw for key, raw in got.items()), \
+                    (kind, seed)
+                if kind != "drop":
+                    assert got == genuine, (kind, seed)
+    finally:
+        close()
+

@@ -8,6 +8,7 @@ from collections import OrderedDict
 
 import pytest
 
+from conftest import malformed_batch_envelopes
 from ogb import trust
 from ogb.errors import ValidationError
 from ogb.trust import (
@@ -309,3 +310,89 @@ def test_a_garbled_certificate_reply_is_cert_unavailable(keyring, reply):
     env = sign_envelope(kp, cert, NAME, PAYLOAD)
     ok, reason = store.verify_data_content(NAME, PAYLOAD, env, tid="Foo", uid="Alice")
     assert not ok and reason == trust.REASON_CERT_UNAVAILABLE
+
+
+TILE = "ndn:/OGB/12/41/51/GPS-ID/TILE/Foo/ShopApp/seg=0"
+
+
+def _tiles(count):
+    return [("ndn:/OGB/12/41/%d%d/GPS-ID/TILE/Foo/ShopApp/seg=0" % (i // 10, i % 10), b"")
+            for i in range(count)]
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 5, 8, 13, 64])
+def test_every_envelope_of_a_batch_verifies_and_costs_one_real_check(keyring, count):
+    kp, cert = keyring.user("Foo", "Alice")
+    signs = []
+    sign = kp.sign
+    kp.sign = lambda data: signs.append(data) or sign(data)
+    messages = _tiles(count)
+    envelopes = trust.sign_batch(kp, cert, messages)
+    assert len(signs) == 1 and len(envelopes) == count
+    assert {env.signature for env in envelopes} == {envelopes[0].signature}
+    store = keyring.store()
+    for (name, payload), env in zip(messages, envelopes):
+        assert len(env.path) <= max(1, (count - 1).bit_length())
+        assert store.verify_tile_interest(name, payload, env, tid="Foo") == (True, None)
+        assert TrustEnvelope.from_dict(env.to_dict()) == env
+    assert len(store._verified) == 1
+
+
+def test_a_batch_envelope_speaks_only_for_its_own_leaf(keyring):
+    kp, cert = keyring.user("Foo", "Alice")
+    messages = _tiles(4)
+    envelopes = trust.sign_batch(kp, cert, messages[:3])
+    store = keyring.store()
+    outside, _ = messages[3]
+    for env in envelopes:
+        assert store.verify_tile_interest(outside, b"", env, tid="Foo") == \
+            (False, trust.REASON_INTEGRITY)
+    # Another member's name, or the right name with a payload, fails too.
+    assert not store.verify_tile_interest(messages[1][0], b"", envelopes[0], tid="Foo")[0]
+    assert not store.verify_tile_interest(messages[0][0], b"x", envelopes[0], tid="Foo")[0]
+    # A batch envelope is checked under the same signer rule as a plain one.
+    bkp, bcert = keyring.user("Bar", "Eve")
+    store.add_certificate(keyring.tenant("Bar")[1])
+    store.add_certificate(bcert)
+    eve = trust.sign_batch(bkp, bcert, messages)
+    assert store.verify_tile_interest(messages[0][0], b"", eve[0], tid="Foo") == \
+        (False, trust.REASON_IDENTITY_RULE)
+
+
+def test_a_malformed_batch_envelope_is_integrity(keyring):
+    kp, cert = keyring.user("Foo", "Alice")
+    messages = _tiles(5)
+    env = trust.sign_batch(kp, cert, messages)[0]
+    store = keyring.store()
+    for case, bad in malformed_batch_envelopes(env).items():
+        assert store.verify_tile_interest(messages[0][0], b"", bad, tid="Foo") == \
+            (False, trust.REASON_INTEGRITY), case
+    assert store.verify_tile_interest(messages[0][0], b"", env, tid="Foo") == (True, None)
+
+
+def test_the_batch_root_name_takes_no_plain_envelope(keyring):
+    kp, cert = keyring.user("Foo", "Alice")
+    env = trust.sign_batch(kp, cert, _tiles(2))[0]
+    root = trust.batch_root(signed_message(*_tiles(2)[0]), env.path)
+    store = keyring.store()
+    # The root signature, presented as a plain envelope over the root name.
+    plain = TrustEnvelope(env.key_locator, env.signature)
+    assert store.verify(trust.BATCH_ROOT_NAME, root, plain) == \
+        (False, trust.REASON_INTEGRITY)
+    assert not trust.BATCH_ROOT_NAME.startswith("ndn:/")
+
+
+def test_a_plain_envelope_dict_has_no_path(keyring):
+    kp, cert = keyring.user("Foo", "Alice")
+    env = sign_envelope(kp, cert, NAME, PAYLOAD)
+    assert set(env.to_dict()) == {"keyLocator", "signatureBase64"}
+    assert TrustEnvelope.from_dict(env.to_dict()) == env
+
+
+@pytest.mark.parametrize("path", [7, "LR", [["L"]], [["L", "AA", "x"]], [["L", 5]],
+                                  [["L", "A"]], [{"L": 1}]])
+def test_an_unreadable_path_fails_to_parse(keyring, path):
+    kp, cert = keyring.user("Foo", "Alice")
+    data = dict(trust.sign_batch(kp, cert, _tiles(2))[0].to_dict(), path=path)
+    with pytest.raises((TypeError, ValueError)):
+        TrustEnvelope.from_dict(data)
