@@ -316,9 +316,16 @@ def encode_digest(seq: int, bitmap: bytes) -> bytes:
     }, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def decode_digest(payload: bytes) -> tuple[int, bytes]:
-    data = json.loads(payload.decode("utf-8"))
-    return data["seq"], zlib.decompress(base64.b64decode(data["bitmapB64"]))
+def decode_digest(reply: dict) -> tuple[int, bytes]:
+    """(seq, bitmap) of a decoded digest reply; StorageError for a reply
+    that does not hold them."""
+    try:
+        seq, bitmap = reply["seq"], zlib.decompress(base64.b64decode(reply["bitmapB64"]))
+    except (KeyError, TypeError, ValueError, zlib.error) as exc:
+        raise StorageError("malformed Bloom digest: %s" % exc) from None
+    if type(seq) is not int:
+        raise StorageError("malformed Bloom digest: seq %r" % (seq,))
+    return seq, bitmap
 
 
 class BloomServer:

@@ -25,6 +25,7 @@ from pathlib import Path
 from . import gtfs, tessellation, trust
 from .cluster import (BF_QUERY_ROOT, ClusterConfig, KeyStore, SimCluster,
                       SocketCluster, network_cert_fetcher)
+from .engine import send_request
 from .errors import ConfigError, FeatureError, OgbError, PartialResultError
 from .frontend import (DEFAULT_FRESHNESS_MS, DEFAULT_K, DEFAULT_WINDOW,
                        Credentials, InsertHandler, QueryHandler, RangeQuery)
@@ -346,12 +347,10 @@ def _cmd_bf_stats(args) -> int:
         raise ConfigError("config has no bfServer")
     substrate, _, close = _open_substrate(config)
     try:
-        name = "%s/stats-%s" % (BF_QUERY_ROOT, secrets.token_hex(4))
-        result = substrate.get(name,
-                               payload=canonical_json({"op": "bf-stats"}))
+        _emit(send_request(substrate, BF_QUERY_ROOT, "stats",
+                           canonical_json({"op": "bf-stats"})))
     finally:
         close()
-    _emit(json.loads(result.payload.decode("utf-8")))
     return EXIT_OK
 
 

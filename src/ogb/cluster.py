@@ -13,9 +13,11 @@ keeps it in step with every engine, plus `issue_user`, `flush_caches`,
 hosts (`_host`), the way a Bloom subscription waits (`_subscribe`) and how
 it shuts down (`_close`).  A stopped cluster is freed as soon as its last
 user drops it, without waiting for a cyclic garbage collection.  Each
-service is a `core.Host` producer: `CertRepo.producer`,
-`BloomService.producer` and the engine handlers return every segment of
-the object an interest names, and the host answers the asked one.
+service is a `core.Host` producer: `CertRepo.producer` and the engine
+handlers return every segment of the object an interest names, and the
+host answers the asked one.  The Bloom filter service is a `BloomService`
+behind `engine.RequestService`, the producer of every request channel, and
+`FilterFeed` asks for each digest with `engine.send_request`.
 
 A simulated cluster is a star.  Engines, the Bloom filter server, and the
 certificate repository hang off one switch over unconstrained links; the
@@ -39,8 +41,8 @@ from pathlib import Path
 from typing import Optional
 
 from . import bloom, trust
-from .engine import Engine, EngineConfig, LruCache, bulk_channel
-from .errors import ConfigError, OgbError, ValidationError
+from .engine import Engine, EngineConfig, RequestService, bulk_channel, send_request
+from .errors import ConfigError, OgbError, ServiceError, ValidationError
 from .geodata import canonical_json, gone_wire, is_gone
 from .icn.core import build_segments
 from .icn.sim import SimNetwork, SimSubstrate
@@ -399,33 +401,20 @@ class CertRepo:
 
 
 class BloomService:
-    """Request/response face of a BloomServer: batch membership tests and
-    stats ride service interests carrying JSON payloads."""
+    """Request face of a BloomServer: batch membership tests and stats, as
+    the `handle` of a `RequestService`."""
 
     def __init__(self, server: bloom.BloomServer):
         self.server = server
-        self._replies = LruCache(32)
 
-    def _reply(self, payload: bytes) -> bytes:
-        try:
-            request = json.loads(payload.decode("utf-8"))
-            op = request.get("op")
-            if op == "bf-query":
-                bits = self.server.membership(request["prefixes"])
-                return canonical_json({"bits": [bool(b) for b in bits]})
-            if op == "bf-stats":
-                return canonical_json(self.server.stats())
-            return canonical_json({"error": "unknown bf op %r" % (op,)})
-        except Exception as exc:
-            return canonical_json({"error": str(exc)})
-
-    def producer(self, interest, base: Name):
-        base_text = base.text
-        cached = self._replies.get(base_text)
-        if cached is None:
-            cached = build_segments(base, self._reply(interest.payload))
-            self._replies.put(base_text, cached)
-        return cached, 0.0
+    def handle(self, request: dict, interest) -> bytes:
+        op = request.get("op")
+        if op == "bf-query":
+            bits = self.server.membership(request["prefixes"])
+            return canonical_json({"bits": [bool(b) for b in bits]})
+        if op == "bf-stats":
+            return canonical_json(self.server.stats())
+        raise ServiceError("unknown bf op %r" % (op,))
 
 
 class FilterFeed:
@@ -445,7 +434,6 @@ class FilterFeed:
         self.server = server
         self.trust_store = trust_store
         self.substrate = substrate
-        self._nonce = 0
 
     def validator(self, engine_id: str):
         """Raises ValidationError on a segment the engine did not sign."""
@@ -460,12 +448,9 @@ class FilterFeed:
 
     def recover(self, engine_id: str) -> None:
         """Replace the server's view of an engine with its signed digest."""
-        self._nonce += 1
-        name = "%s/digest-%d" % (bulk_channel(engine_id), self._nonce)
-        result = self.substrate.get(name, payload=canonical_json({"op": "digest"}),
-                                    validator=self.validator(engine_id))
-        seq, bitmap = bloom.decode_digest(result.payload)
-        self.server.load_digest(engine_id, seq, bitmap)
+        reply = send_request(self.substrate, bulk_channel(engine_id), "digest",
+                             canonical_json({"op": "digest"}), validator=self.validator(engine_id))
+        self.server.load_digest(engine_id, *bloom.decode_digest(reply))
 
     def next_publication(self, engine_id: str) -> tuple[int, str]:
         """The seq and the name of the next publication to wait for."""
@@ -521,7 +506,7 @@ class _Cluster:
                                                   engines=list(self.engines))
             self.bf_server = self._serve(
                 BF_SERVER_ID, (config.bf_host, config.bf_port),
-                {BF_QUERY_ROOT: BloomService(self.bloom_server).producer})
+                {BF_QUERY_ROOT: RequestService(BloomService(self.bloom_server).handle)})
         self.cert_server = self._serve(
             CERT_REPO_ID, (config.cert_host, config.cert_port),
             {CERT_ROOT: self.cert_repo.producer})

@@ -38,11 +38,23 @@ Each `handle_*_interest` is a producer in the sense of `core.Host`: given
 an interest and its name less the `seg=<i>` component, it returns every
 signed segment of the named object, and the host answers the asked one.
 Tile queries are authorized per interest (a bad signature is dropped without
-a response) and answered as signed segments.  A data name the engine serves
-but does not hold (a Reference named by a listing cached before a remove)
-gets a signed "gone" reply that no content store keeps.  In simulated mode
-each fresh tile computation reports a processing delay of c1 + c2 * items,
-the engine-side share of the query cost model.
+a response) and answered as signed segments.  A listing's build is kept in
+the tile cache with the table version it was read at: a write advances the
+version, so the next segment-0 interest gets a fresh build, while a later
+segment always comes from the build its segment 0 came from.  A data name
+the engine serves but does not hold (a Reference named by a listing cached
+before a remove) gets a signed "gone" reply that no content store keeps.
+In simulated mode each fresh tile computation reports a processing delay of
+c1 + c2 * items, the engine-side share of the query cost model.
+
+The request-reply protocol of both request channels, the engine's bulk
+channel and the Bloom filter service, is written once, here.
+`send_request` names every request with a fresh random token, so a name
+repeats only when a request is retransmitted, and decodes every reply,
+raising `ServiceError` for one that does not decode or that carries
+`error`.  `RequestService` is the producer of either channel: it runs a
+request at most once, turns a failure into an `error` reply, and replays a
+repeated name from its own bounded cache.
 """
 
 from __future__ import annotations
@@ -50,16 +62,19 @@ from __future__ import annotations
 import bisect
 import json
 import logging
+import secrets
 import struct
 import time
+import weakref
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from . import bloom, names, trust
-from .errors import StorageError
+from .errors import ServiceError, StorageError
 from .geodata import OgbData, WireTile, canonical_json, gone_wire
 from .icn.core import ContentObject, Interest, build_segments
 from .names import (
@@ -79,10 +94,27 @@ REJECTED = "rejected"
 NOT_FOUND = "not-found"
 
 BULK_ROOT = names.SCHEME + names.SYSTEM_ROOT + "/bulk"
+REPLAY_CAPACITY = 32        # replies a request channel keeps, for retransmissions
 
 
 def bulk_channel(engine_id: str) -> str:
     return "%s/%s" % (BULK_ROOT, engine_id)
+
+
+def send_request(substrate, root: str, tag: str, payload: bytes, **get_args) -> dict:
+    """Send a request under a fresh name, `<root>/<tag>-<token>`, which only
+    its retransmissions repeat and nothing parses; its decoded reply, or
+    ServiceError for one that is not a JSON object or carries an error."""
+    name = "%s/%s-%s" % (root, tag, secrets.token_hex(8))
+    try:
+        reply = json.loads(substrate.get(name, payload=payload, **get_args).payload)
+    except ValueError as exc:
+        raise ServiceError("reply to %s does not decode: %s" % (name, exc)) from None
+    if not isinstance(reply, dict):
+        raise ServiceError("reply to %s is not a JSON object" % name)
+    if "error" in reply:
+        raise ServiceError(reply["error"])
+    return reply
 
 
 # -- framed records ------------------------------------------------------------
@@ -268,6 +300,31 @@ class LruCache:
         self._items.clear()
 
 
+class RequestService:
+    """The producer of a request channel: `handle(request, interest)` turns
+    a decoded request into its reply, and what it raises into an `error`
+    reply.  Replies are segmented, signed by `sign` if given, and kept by
+    name, so a retransmission never runs a request twice."""
+
+    def __init__(self, handle: Callable[[dict, Interest], bytes], sign=None):
+        self.handle = handle
+        self.sign = sign
+        self._replies = LruCache(REPLAY_CAPACITY)
+
+    def __call__(self, interest: Interest, base: Name):
+        base_text = base.text
+        segments = self._replies.get(base_text)
+        if segments is None:
+            try:
+                reply = self.handle(json.loads(interest.payload), interest)
+            except Exception as exc:
+                log.warning("request %s failed: %s", base_text, exc)
+                reply = canonical_json({"error": str(exc)})
+            segments = build_segments(base, reply, 0.0, self.sign)
+            self._replies.put(base_text, segments)
+        return segments, 0.0
+
+
 class Engine:
     """One shard: stores OgbData under its served prefixes and answers
     tile/data/address interests for them."""
@@ -294,8 +351,12 @@ class Engine:
         self.bf_log: dict[int, list[ContentObject]] = {}   # by first seq
 
         self._served = [Name.from_text(p).components for p in config.served_prefixes]
+        # Tile name -> (table version it was built at, its segments).
         self._tile_cache = LruCache(128)
-        self._service_cache = LruCache(32)
+        self._version = 0            # advanced by every write
+        me = weakref.proxy(self)     # no cycle: a dropped engine is freed at once
+        self.handle_service_interest = RequestService(partial(Engine._request, me),
+                                                      partial(Engine._sign, me))
         self._log_seq = 0            # last log record written or folded
         self.log_records = 0         # replayed at the last start
         self.load_ms = 0.0
@@ -366,7 +427,7 @@ class Engine:
             statuses.append(ItemStatus(name_text, ACCEPTED))
         if accepted:
             self._append_log(_insert_body(accepted))
-        self._tile_cache.clear()
+        self._version += 1
         self._emit(pubs)
         return statuses
 
@@ -396,7 +457,7 @@ class Engine:
             statuses.append(ItemStatus(name_text, ACCEPTED))
         if deleted:
             self._append_log(_DELETE + "\n".join(deleted).encode("ascii"))
-        self._tile_cache.clear()
+        self._version += 1
         self._emit(pubs)
         return statuses
 
@@ -449,8 +510,10 @@ class Engine:
             self.rejected_interests += 1
             return None                          # silent drop
         cached = self._tile_cache.get(base_text)
-        if cached is not None:
-            return cached, 0.0
+        # A later segment comes from the build its segment 0 came from.
+        if cached is not None and (cached[0] == self._version
+                                   or not interest.name.endswith("/seg=0")):
+            return cached[1], 0.0
         if not self.serves(tile_name.tile):
             return None
         tile = self.tile_query(tile_name)
@@ -458,7 +521,7 @@ class Engine:
         delay = self.config.proc_base_ms + self.config.proc_per_item_ms * len(tile.items)
         contents = build_segments(tile_name.name, tile.to_wire(),
                                   self.config.tile_freshness_ms, self._sign)
-        self._tile_cache.put(base_text, contents)
+        self._tile_cache.put(base_text, (self._version, contents))
         return contents, delay
 
     def _data_response(self, data_name: DataName):
@@ -503,22 +566,8 @@ class Engine:
 
     # -- bulk service channel ----------------------------------------------
 
-    def handle_service_interest(self, interest: Interest, base: Name):
-        """Producer for the engine's bulk channel: insert, delete, digest."""
-        base_text = base.text
-        cached = self._service_cache.get(base_text)
-        if cached is None:
-            try:
-                reply = self._service_reply(interest, base_text)
-            except Exception as exc:
-                log.warning("service request failed: %s", exc)
-                reply = canonical_json({"error": str(exc)})
-            cached = build_segments(base, reply, 0.0, self._sign)
-            self._service_cache.put(base_text, cached)
-        return cached, 0.0
-
-    def _service_reply(self, interest: Interest, base_text: str) -> bytes:
-        request = json.loads(interest.payload.decode("utf-8"))
+    def _request(self, request: dict, interest: Interest) -> bytes:
+        """The bulk channel's reply to an insert, delete, digest or status."""
         op = request.get("op")
         if op == "insert":
             items = [OgbData.from_dict(d) for d in request["items"]]
@@ -532,7 +581,7 @@ class Engine:
             return self.digest_payload()
         if op == "status":
             return canonical_json(self.status())
-        raise StorageError("unknown service op %r" % (op,))
+        raise ServiceError("unknown service op %r" % (op,))
 
     def _request_identity(self, interest: Interest) -> Optional[str]:
         """Verified identity of the service request's signer, if any."""
@@ -564,8 +613,8 @@ class Engine:
         self.table_access = [0, 0, 0]
 
     def clear_response_caches(self) -> None:
+        """Empty the tile cache; request replies stay, for retransmissions."""
         self._tile_cache.clear()
-        self._service_cache.clear()
 
     # -- persistence ---------------------------------------------------------
 

@@ -17,6 +17,14 @@ deterministic, so a repeated query over the same tiles sends the same bytes.
 The write path mirrors the read path's routing: each item's responsible
 engine is found with an address-resolution GET, cached per served prefix, and
 items travel in one bulk request per engine over its service channel.
+
+Both request channels, an engine's bulk channel and the Bloom filter
+service, are asked through `engine.send_request`: a fresh name per request,
+so two handlers of one user are independent sessions, and one decoder for
+every reply, which raises `ServiceError` for an error reply.  Nothing that
+does not decode escapes raw: a listing marks its tile failed, a
+dereferenced body counts as rejected, and a Bloom or bulk reply that does
+not answer what was sent raises `ServiceError`.
 """
 
 from __future__ import annotations
@@ -28,10 +36,11 @@ from typing import Union
 
 from . import tessellation, trust
 from .bloom import BF_QUERY_ROOT
-from .engine import ACCEPTED, ItemStatus, bulk_channel
+from .engine import ACCEPTED, ItemStatus, bulk_channel, send_request
 from .errors import (
     AuthorizationError,
     ConfigError,
+    OgbError,
     PartialResultError,
     ServiceError,
     ValidationError,
@@ -132,27 +141,25 @@ class InsertReport:
         }
 
 
-def _decode_reply(payload: bytes) -> dict:
-    reply = json.loads(payload.decode("utf-8"))
-    if "error" in reply:
-        raise ServiceError(reply["error"])
-    return reply
+def _decoded(cls, result):
+    """`cls.from_wire` of a fetched payload; None for a failed fetch or for
+    a payload that does not decode."""
+    if isinstance(result, Exception):
+        return None
+    try:
+        return cls.from_wire(result.payload)
+    except (OgbError, ValueError, KeyError, TypeError, AttributeError):
+        return None
 
 
 class _SubstrateClient:
-    """Shared plumbing: per-segment response validation and service naming."""
+    """Shared plumbing: per-segment response and per-item validation."""
 
     def __init__(self, substrate, trust_store: trust.TrustStore,
                  credentials: Credentials):
         self.substrate = substrate
         self.trust_store = trust_store
         self.credentials = credentials
-        self._nonce = 0
-
-    def _service_name(self, root: str, tag: str) -> str:
-        self._nonce += 1
-        return "%s/%s-%s-%s-%d" % (root, tag, self.credentials.tid,
-                                   self.credentials.uid, self._nonce)
 
     def _validate_segment(self, content) -> None:
         ok, reason = self.trust_store.verify(content.name, content.payload,
@@ -217,11 +224,11 @@ class QueryHandler(_SubstrateClient):
         return report
 
     def _bf_reduce(self, tiles: list) -> list:
-        prefixes = [tile_prefix(t).text for t in tiles]
-        name = self._service_name(BF_QUERY_ROOT, "q")
-        payload = canonical_json({"op": "bf-query", "prefixes": prefixes})
-        result = self.substrate.get(name, payload=payload)
-        bits = _decode_reply(result.payload)["bits"]
+        bits = send_request(self.substrate, BF_QUERY_ROOT, "q", canonical_json(
+            {"op": "bf-query", "prefixes": [tile_prefix(t).text for t in tiles]})).get("bits")
+        if not isinstance(bits, list) or len(bits) != len(tiles):
+            raise ServiceError("the Bloom service answered %d prefixes with %r"
+                               % (len(tiles), bits))
         return [tile for tile, bit in zip(tiles, bits) if bit]
 
     def _query_tiles(self, tiles: list, query: RangeQuery):
@@ -245,10 +252,10 @@ class QueryHandler(_SubstrateClient):
         rejected = 0
         failed: list[str] = []
         for tile_name, result in zip(tile_names, results):
-            if isinstance(result, Exception):
+            listing = _decoded(OgbTile, result)
+            if listing is None:
                 failed.append(tile_name.name.text)
                 continue
-            listing = OgbTile.from_wire(result.payload)
             if listing.name != tile_name:
                 log.debug("dropping listing %s: asked for %s",
                           listing.name.name.text, tile_name.name.text)
@@ -292,13 +299,10 @@ class QueryHandler(_SubstrateClient):
                 if isinstance(result, Exception):
                     failed.append(name)
                     continue
-                if is_gone(result.payload):
-                    # Removed after the listing naming it was cached.
-                    rejected += 1
-                    continue
-                item = OgbData.from_wire(result.payload)
-                if item.body_type != INLINE or item.name.name.text != name \
-                        or not self._validate_item(item):
+                # Gone: removed after the listing naming it was cached.
+                item = None if is_gone(result.payload) else _decoded(OgbData, result)
+                if item is None or item.body_type != INLINE \
+                        or item.name.name.text != name or not self._validate_item(item):
                     rejected += 1
                     continue
                 memo[name] = item.body
@@ -360,10 +364,9 @@ class InsertHandler(_SubstrateClient):
             info = self.resolve(item.name.tile)
             groups.setdefault(info["engineId"], []).append(item)
 
-        by_name: dict[str, ItemStatus] = {}
+        replies = []
         for engine_id in sorted(groups):
             group = groups[engine_id]
-            name = self._service_name(bulk_channel(engine_id), op)
             if op == "insert":
                 # canonical_json({"op": "insert", "items": [...]}), spliced
                 # from each item's wire form with no copy of its feature.
@@ -372,14 +375,15 @@ class InsertHandler(_SubstrateClient):
             else:
                 payload = canonical_json({"op": "delete",
                                           "names": [item.name.name.text for item in group]})
-            result = self.substrate.get(name, payload=payload,
-                                        sign=self.credentials.sign,
-                                        validator=self._validate_segment)
-            reply = _decode_reply(result.payload)
-            for status in reply["statuses"]:
-                parsed = ItemStatus.from_dict(status)
-                by_name[parsed.name] = parsed
-        statuses = [by_name[item.name.name.text] for item in items]
+            replies.append(send_request(self.substrate, bulk_channel(engine_id), op,
+                                        payload, sign=self.credentials.sign,
+                                        validator=self._validate_segment))
+        try:
+            by_name = {status["name"]: ItemStatus.from_dict(status)
+                       for reply in replies for status in reply["statuses"]}
+            statuses = [by_name[item.name.name.text] for item in items]
+        except (KeyError, TypeError) as exc:
+            raise ServiceError("the replies lack a status: %r" % exc) from None
         return InsertReport(
             statuses=statuses,
             engines=sorted(groups),

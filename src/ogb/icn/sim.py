@@ -135,19 +135,14 @@ class SimNetwork:
         return node
 
     def connect(self, a: str, b: str, bandwidth_mbps: Optional[float] = None,
-                latency_ms: float = 0.0,
-                reverse_bandwidth_mbps: Optional[float] = None,
-                ) -> None:
-        """Create both directions of a link; `bandwidth_mbps` shapes a->b and
-        the reverse direction uses `reverse_bandwidth_mbps` (default same)."""
+                latency_ms: float = 0.0) -> None:
+        """Create both directions of a link, each shaped by `bandwidth_mbps`."""
         if a not in self.nodes or b not in self.nodes:
             raise ConfigError("connect() on unknown node: %r-%r" % (a, b))
         if b in self.nodes[a].links:
             raise ConfigError("duplicate link %r-%r" % (a, b))
-        if reverse_bandwidth_mbps is None:
-            reverse_bandwidth_mbps = bandwidth_mbps
         self.nodes[a].links[b] = SimLink(self.loop, bandwidth_mbps, latency_ms)
-        self.nodes[b].links[a] = SimLink(self.loop, reverse_bandwidth_mbps, latency_ms)
+        self.nodes[b].links[a] = SimLink(self.loop, bandwidth_mbps, latency_ms)
         self._adjacency[a].append(b)
         self._adjacency[b].append(a)
 

@@ -261,19 +261,17 @@ class _CallLoop(EventLoop):
 class SocketSubstrate:
     """Consumer endpoint over TCP, one connection per configured server."""
 
-    def __init__(self, peers: list[tuple[str, int]],
-                 connect_timeout_s: float = CONNECT_TIMEOUT_S):
+    def __init__(self, peers: list[tuple[str, int]]):
         self.fib = Fib()                     # prefix -> server address
         self._peers: dict[tuple[str, int], _Peer] = {}
         self._rng = random.Random()
-        self._connect_timeout_s = connect_timeout_s
         self._dial_lock = threading.Lock()
         self._closed = False
         for address in peers:
             self._connect(tuple(address))
 
     def _connect(self, address: tuple[str, int]) -> _Peer:
-        sock = socket.create_connection(address, timeout=self._connect_timeout_s)
+        sock = socket.create_connection(address, timeout=CONNECT_TIMEOUT_S)
         try:
             _no_delay(sock)
             prefixes = []

@@ -21,9 +21,12 @@ from ogb.bloom import (
     publication_name,
     theoretical_fpr,
 )
-from ogb.cluster import BloomService
+from ogb.cluster import BF_QUERY_ROOT, BloomService
+from ogb.engine import RequestService
 from ogb.errors import StorageError
 from ogb.geodata import canonical_json
+from ogb.icn.core import Interest
+from ogb.names import Name
 
 PREFIX = "ndn:/OGB/12/41/51/89/GPS-ID"
 
@@ -180,7 +183,7 @@ def test_digest_recovery_reproduces_state():
 
     fresh = BloomServer(m=m, h=h, engines=["A", "B"])
     for engine, cbf in (("A", a), ("B", b)):
-        seq, bitmap = decode_digest(encode_digest(cbf.seq, cbf.bitmap()))
+        seq, bitmap = decode_digest(json.loads(encode_digest(cbf.seq, cbf.bitmap())))
         fresh.load_digest(engine, seq, bitmap)
     assert fresh.global_bf.to_bytes() == live.global_bf.to_bytes()
     assert fresh.membership(keys) == [True] * len(keys)
@@ -242,7 +245,7 @@ def test_digest_reload_keeps_or_semantics():
     removals = cbfs["A"].remove(j) + cbfs["A"].remove(k)
     for pub in removals:
         assert replayed.apply(pub)
-    seq, bitmap = decode_digest(encode_digest(cbfs["A"].seq, cbfs["A"].bitmap()))
+    seq, bitmap = decode_digest(json.loads(encode_digest(cbfs["A"].seq, cbfs["A"].bitmap())))
     reloaded.load_digest("A", seq, bitmap)
     for server in (reloaded, replayed):
         # A went void for both keys, but B still holds K.
@@ -306,7 +309,22 @@ def test_short_prefix_lists_are_tested_one_key_at_a_time(monkeypatch):
 
 
 def test_a_non_string_prefix_gets_the_service_error_reply():
-    service = BloomService(BloomServer(m=1 << 12, h=5))
-    for prefixes in ([1], [PREFIX, None], [[PREFIX]]):
-        reply = service._reply(canonical_json({"op": "bf-query", "prefixes": prefixes}))
-        assert "error" in json.loads(reply)
+    producer = RequestService(BloomService(BloomServer(m=1 << 12, h=5)).handle)
+    for i, prefixes in enumerate(([1], [PREFIX, None], [[PREFIX]])):
+        base = Name.from_text("%s/q-%d" % (BF_QUERY_ROOT, i))
+        request = canonical_json({"op": "bf-query", "prefixes": prefixes})
+        segments, _ = producer(Interest(base.text + "/seg=0", request), base)
+        assert "error" in json.loads(segments[0].payload)
+
+
+@pytest.mark.parametrize("change", [
+    {"seq": None}, {"bitmapB64": None}, {"seq": "3"}, {"bitmapB64": "!!"},
+    {"bitmapB64": "AAAA"}, {"bitmapB64": 7},
+], ids=["no-seq", "no-bitmap", "seq-string", "not-base64", "not-zlib", "bitmap-number"])
+def test_a_digest_reply_without_seq_and_bitmap_is_a_storage_error(change):
+    reply = json.loads(encode_digest(3, bytes(16)))
+    assert decode_digest(reply) == (3, bytes(16))
+    reply.update(change)
+    reply = {key: value for key, value in reply.items() if value is not None}
+    with pytest.raises(StorageError):
+        decode_digest(reply)

@@ -745,7 +745,7 @@ def test_service_channel_insert_digest_status(keyring, starbucks):
 
     content, _ = ask(eng.handle_service_interest,
                      service_interest("e1", 2, {"op": "digest"}))
-    seq, bitmap = bloom.decode_digest(content.payload)
+    seq, bitmap = bloom.decode_digest(json.loads(content.payload))
     assert seq == eng.cbf.seq
     assert bitmap == eng.cbf.bitmap()
 

@@ -11,11 +11,12 @@ import weakref
 import pytest
 
 from ogb import tessellation, trust
+from ogb.bloom import BloomServer
 from ogb.cluster import (ClusterConfig, KeyStore, SimCluster, SocketCluster,
                          network_cert_fetcher)
 from ogb.engine import Engine, bulk_channel
 from ogb.errors import (ConfigError, NoRouteError, PartialResultError, ProtocolError,
-                        TimeoutError_)
+                        ServiceError, TimeoutError_)
 from ogb.frontend import Credentials, InsertHandler, QueryHandler, RangeQuery
 from ogb.geodata import (INLINE, REFERENCE, OgbData, canonical_data_name,
                          WireTile, canonical_json, is_gone, make_ogb_data_set,
@@ -1071,3 +1072,151 @@ def test_a_hostile_engine_can_hide_results_but_never_forge_them(mode, tmp_path,
     finally:
         close()
 
+
+def settle(cluster):
+    """Let the Bloom filter server catch up with every engine."""
+    if cluster.config.mode == "sim":
+        cluster.network.loop.run_until_idle()
+    await_bf_sync(cluster)
+
+
+@pytest.mark.parametrize("mode", ["sim", "socket"])
+def test_two_insert_sessions_of_one_user_each_get_their_insert(mode, tmp_path):
+    cluster, qh, ih, close = deploy(mode, tmp_path / "storage")
+    try:
+        # As two `ogb insert` processes of Alice would.
+        second = InsertHandler(ih.substrate, ih.trust_store, ih.credentials)
+        assert ih.insert(WORLD[0]).all_accepted
+        assert second.insert(NEIGHBOUR).all_accepted
+        assert len(run_queries(qh)[1]) == 2
+    finally:
+        close()
+
+
+@pytest.mark.parametrize("mode", ["sim", "socket"])
+def test_two_query_sessions_of_one_user_each_get_their_bloom_answer(mode, tmp_path):
+    cluster, qh, ih, close = deploy(mode, tmp_path / "storage")
+    try:
+        for feature in WORLD[:2]:
+            assert ih.insert(feature).all_accepted
+        settle(cluster)
+        expected = run_queries(qh)
+        assert expected[0] and expected[2]
+        # Rome, then New York, each by a new session, as `ogb query --bf` does.
+        for index in (0, 2):
+            session = QueryHandler(qh.substrate, qh.trust_store, qh.credentials)
+            box, how = QUERIES[index]
+            report = session.range_query(RangeQuery(bbox=box, mode=how, tid="Foo",
+                                                    cid="ShopApp", use_bf=True))
+            assert frozenset(canonical_json(f.raw) for f in report.features) \
+                == expected[index], index
+    finally:
+        close()
+
+
+# One 1-degree tile, whose listing of 120 References spans several segments.
+TILE_BOX = BoundingBox.of(12.01, 41.01, 12.99, 41.99)
+
+
+def _tile_query(qh):
+    report = qh.range_query(RangeQuery(bbox=TILE_BOX, mode="intersect", tid="Foo",
+                                       cid="ShopApp", k=1))
+    return {f.oid for f in report.features}
+
+
+@pytest.mark.parametrize("mode", ["sim", "socket"])
+def test_a_write_between_a_listings_segments_splices_no_versions(mode, tmp_path,
+                                                                 monkeypatch):
+    cluster, qh, ih, close = deploy(mode, tmp_path / "storage")
+    try:
+        for i in range(120):
+            point = [12.05 + (i % 12) * 0.08, 41.05 + (i // 12) * 0.09]
+            assert ih.insert(_feature("Foo", "Alice", 1000 + i, point)).all_accepted
+        # Its names sort first in every listing, so it shifts every segment.
+        late = make_ogb_data_set(parse_feature(
+            _feature("Foo", "Alice", 1, [12.5, 41.5])), 60000)
+        for item in late:
+            item.signature = ih.credentials.sign(item.name.name.text, item.signed_payload())
+        first = _first_segments(TILE_BOX)[0].replace("/seg=0", "/seg=")
+        honest = qh._validate_segment
+        segments = []
+
+        def validate(content):
+            honest(content)
+            if content.name.startswith(first):
+                segments.append(content.name)
+                if len(segments) == 1:
+                    # A second client's insert, between segment 0 and the rest.
+                    with cluster.servers["east"].dispatch_lock:
+                        cluster.engines["east"].bulk_insert(late)
+
+        monkeypatch.setattr(qh, "_validate_segment", validate)
+        cluster.flush_caches()
+        before = {str(1000 + i) for i in range(120)}
+        assert _tile_query(qh) == before
+        assert len(segments) > 2
+        cluster.flush_caches()
+        assert _tile_query(qh) == before | {"1"}
+    finally:
+        close()
+
+
+def _unreadable_listing(engine, tile_name):
+    return WireTile(tile_name, [b"{"], 60000)
+
+
+@pytest.mark.parametrize("mode", ["sim", "socket"])
+def test_a_listing_that_does_not_decode_fails_its_tile(mode, tmp_path, monkeypatch):
+    cluster, qh, ih, close = deploy(mode, tmp_path / "storage")
+    try:
+        assert ih.insert(WORLD[0]).all_accepted
+        monkeypatch.setattr(Engine, "tile_query", _unreadable_listing)
+        cluster.flush_caches()
+        with pytest.raises(PartialResultError) as failed:
+            _tile_query(qh)
+        assert len(failed.value.failed_tiles) == 1
+    finally:
+        close()
+
+
+def test_replies_that_do_not_decode_fail_cleanly(tmp_path, monkeypatch):
+    cluster, qh, ih, close = deploy("sim", tmp_path / "storage")
+    try:
+        assert ih.insert(WORLD[0]).all_accepted
+        settle(cluster)
+        assert _tile_query(qh) == {str(WORLD[0]["properties"]["oid"])}
+
+        # A dereferenced body that does not decode counts as rejected.
+        def unreadable_body(engine, data_name):
+            return build_segments(data_name.name, b"not json", 0.0, engine._sign), 0.0
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Engine, "_data_response", unreadable_body)
+            cluster.flush_caches()
+            report = qh.range_query(RangeQuery(bbox=TILE_BOX, mode="intersect",
+                                               tid="Foo", cid="ShopApp", k=1))
+            assert (report.features, report.counts["itemsRejected"]) == ([], 1)
+
+        # A Bloom reply with a bit too few for the prefixes sent.
+        honest = BloomServer.membership
+        with monkeypatch.context() as patch:
+            patch.setattr(BloomServer, "membership",
+                          lambda server, prefixes: honest(server, prefixes)[:-1])
+            with pytest.raises(ServiceError):
+                run_queries(qh, use_bf=True)
+
+        # A bulk reply that lacks an item's status.
+        insert = Engine.bulk_insert
+        with monkeypatch.context() as patch:
+            patch.setattr(Engine, "bulk_insert",
+                          lambda engine, items: insert(engine, items)[:-1])
+            with pytest.raises(ServiceError):
+                ih.insert(NEIGHBOUR)
+
+        # A digest request answered with an error reply.
+        with monkeypatch.context() as patch:
+            patch.setattr(Engine, "digest_payload", lambda engine: 1 / 0)
+            with pytest.raises(ServiceError):
+                cluster.bf_feed.recover("east")
+    finally:
+        close()
