@@ -211,7 +211,12 @@ def _cmd_cluster_stop(args) -> int:
     pidfile = _pidfile(args)
     if not pidfile.exists():
         raise ConfigError("no pidfile at %s; is the cluster running?" % pidfile)
-    pid = int(pidfile.read_text(encoding="utf-8").strip())
+    try:
+        pid = int(pidfile.read_text(encoding="utf-8"))
+    except ValueError:
+        pid = 0
+    if pid <= 0:                # 0 and -1 would signal whole process groups
+        raise ConfigError("pidfile %s holds no pid" % pidfile)
     try:
         os.kill(pid, signal.SIGTERM)
     except ProcessLookupError:

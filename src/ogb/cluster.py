@@ -62,6 +62,16 @@ CERT_ROOT = SCHEME + SYSTEM_ROOT + "/certs"
 CERT_FRESHNESS_MS = 3600 * 1000.0
 
 
+# Keys of values now fixed in code (the signing rules, `engine.TILE_FRESHNESS_MS`,
+# `engine.IPRES_FRESHNESS_MS`, the c1 and c2 of `perfmodel`, links without
+# latency) or of the unused `defaults` section.  A config that still holds
+# one is refused, not silently ignored.
+_REFUSED_KEYS = ("trustRules", "defaults")
+_REFUSED_ENGINE_KEYS = ("tileFreshnessMs", "ipresFreshnessMs", "procBaseMs",
+                        "procPerItemMs")
+_REFUSED_TOPOLOGY_KEYS = ("latencyMs",)
+
+
 def _show(value) -> str:
     return json.dumps(value, default=repr)
 
@@ -70,6 +80,12 @@ def _object(value, where: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError("%s must be a JSON object, got %s" % (where, _show(value)))
     return value
+
+
+def _refuse(section: dict, where: str, keys) -> None:
+    for key in keys:
+        if key in section:
+            raise ConfigError("%s%s is no longer a config key" % (where, key))
 
 
 def _integer(value, where: str, minimum: Optional[int] = None) -> int:
@@ -107,7 +123,6 @@ class ClusterConfig:
     cert_host: str = ""
     cert_port: int = 0
     handler_bandwidth_mbps: Optional[float] = 200.0
-    link_latency_ms: float = 0.0
 
     def validate(self) -> None:
         if self.mode not in ("sim", "socket"):
@@ -128,7 +143,6 @@ class ClusterConfig:
             self.handler_bandwidth_mbps = _number(
                 self.handler_bandwidth_mbps, "topology.handlerLinkMbps",
                 positive=True)
-        self.link_latency_ms = _number(self.link_latency_ms, "topology.latencyMs")
         if not self.engines:
             raise ConfigError("no engines configured")
         ids = [e.engine_id for e in self.engines]
@@ -170,49 +184,22 @@ class ClusterConfig:
             peers.append((self.bf_host, self.bf_port))
         return [(host or "127.0.0.1", port) for host, port in peers]
 
-    def to_dict(self) -> dict:
-        d: dict = {
-            "mode": self.mode,
-            "engines": [e.to_dict() for e in self.engines],
-            "topology": {
-                "handlerLinkMbps": self.handler_bandwidth_mbps,
-                "latencyMs": self.link_latency_ms,
-            },
-        }
-        if self.seed is not None:
-            d["seed"] = self.seed
-        if self.keys_dir is not None:
-            d["keysDir"] = self.keys_dir
-        if self.storage_dir is not None:
-            d["storageDir"] = self.storage_dir
-        if self.bf_enabled:
-            d["bfServer"] = {
-                "m": self.bf_m,
-                "h": self.bf_h,
-                "address": {"host": self.bf_host, "port": self.bf_port},
-            }
-        d["certRepo"] = {"address": {"host": self.cert_host, "port": self.cert_port}}
-        return d
-
     @classmethod
     def from_dict(cls, data: dict) -> "ClusterConfig":
         data = _object(data, "config")
-        if "trustRules" in data:
-            raise ConfigError("trustRules is not supported: the signing rules "
-                              "are fixed")
+        _refuse(data, "", _REFUSED_KEYS)
         bf = data.get("bfServer")
         if bf is not None:
             _object(bf, "bfServer")
         bf_m = bf.get("m", bloom.DEFAULT_M) if bf else bloom.DEFAULT_M
         bf_h = bf.get("h", bloom.DEFAULT_H) if bf else bloom.DEFAULT_H
-        defaults = _object(data.get("defaults", {}), "defaults")
         entries = data.get("engines", [])
         if not isinstance(entries, list):
             raise ConfigError("engines must be a list, got %s" % _show(entries))
-        engines = [cls._engine({**defaults, **_object(e, "engines[%d]" % i)},
-                               "engines[%d]" % i, bf_m, bf_h)
+        engines = [cls._engine(e, "engines[%d]" % i, bf_m, bf_h)
                    for i, e in enumerate(entries)]
         topology = _object(data.get("topology", {}), "topology")
+        _refuse(topology, "topology.", _REFUSED_TOPOLOGY_KEYS)
         config = cls(
             mode=data.get("mode", "sim"),
             seed=data.get("seed"),
@@ -223,7 +210,6 @@ class ClusterConfig:
             bf_m=bf_m,
             bf_h=bf_h,
             handler_bandwidth_mbps=topology.get("handlerLinkMbps", 200.0),
-            link_latency_ms=topology.get("latencyMs", 0.0),
         )
         if bf:
             config.bf_host, config.bf_port = cls._address(bf, "bfServer")
@@ -233,23 +219,18 @@ class ClusterConfig:
         return config
 
     @classmethod
-    def _engine(cls, data: dict, where: str, bf_m: int, bf_h: int) -> EngineConfig:
+    def _engine(cls, data, where: str, bf_m: int, bf_h: int) -> EngineConfig:
+        data = _object(data, where)
+        _refuse(data, where + ".", _REFUSED_ENGINE_KEYS)
         prefixes = data.get("servedPrefixes")
         if not isinstance(data.get("id"), str) or not isinstance(prefixes, list) \
                 or not all(isinstance(p, str) for p in prefixes):
             raise ConfigError("%s needs a string id and a list of servedPrefixes"
                               % where)
-        cls._address(data, where)
-        if "cacheCapacity" in data:
-            _integer(data["cacheCapacity"], where + ".cacheCapacity", 0)
-        for key in ("tileFreshnessMs", "ipresFreshnessMs", "procBaseMs",
-                    "procPerItemMs"):
-            if key in data:
-                _number(data[key], "%s.%s" % (where, key))
-        try:
-            return EngineConfig.from_dict(data, bf_m=bf_m, bf_h=bf_h)
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ConfigError("%s: %s" % (where, exc)) from None
+        host, port = cls._address(data, where)
+        capacity = data.get("cacheCapacity", EngineConfig.cache_capacity)
+        return EngineConfig(data["id"], list(prefixes), host, port,
+                            _integer(capacity, where + ".cacheCapacity", 0), bf_m, bf_h)
 
     @staticmethod
     def _address(section: dict, where: str) -> tuple[str, int]:
@@ -616,8 +597,7 @@ class SimCluster(_Cluster):
         self.nodes[SWITCH_ID] = self.network.add_node(SWITCH_ID)
         handler = self.nodes[HANDLER_ID] = self.network.add_node(HANDLER_ID)
         self.network.connect(HANDLER_ID, SWITCH_ID,
-                             bandwidth_mbps=config.handler_bandwidth_mbps,
-                             latency_ms=config.link_latency_ms)
+                             bandwidth_mbps=config.handler_bandwidth_mbps)
         self._assemble()
         # Announce only once every node exists, so each gets a full FIB.
         for node in self.network.nodes.values():
@@ -629,8 +609,7 @@ class SimCluster(_Cluster):
 
     def _host(self, host_id: str, address, cache_capacity: int):
         node = self.network.add_node(host_id, cache_capacity=cache_capacity)
-        self.network.connect(host_id, SWITCH_ID,
-                             latency_ms=self.config.link_latency_ms)
+        self.network.connect(host_id, SWITCH_ID)
         return node
 
     def _subscribe(self, engine_id: str) -> None:

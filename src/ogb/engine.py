@@ -45,7 +45,8 @@ segment always comes from the build its segment 0 came from.  A data name
 the engine serves but does not hold (a Reference named by a listing cached
 before a remove) gets a signed "gone" reply that no content store keeps.
 In simulated mode each fresh tile computation reports a processing delay of
-c1 + c2 * items, the engine-side share of the query cost model.
+c1 + c2 * items, the engine-side share of the query cost model, with the
+constants of `perfmodel`.
 
 The request-reply protocol of both request channels, the engine's bulk
 channel and the Bloom filter service, is written once, here.
@@ -86,6 +87,7 @@ from .names import (
     routing_prefix,
     tile_prefix,
 )
+from .perfmodel import DEFAULT_C1_MS, DEFAULT_C2_MS
 
 log = logging.getLogger(__name__)
 
@@ -95,6 +97,8 @@ NOT_FOUND = "not-found"
 
 BULK_ROOT = names.SCHEME + names.SYSTEM_ROOT + "/bulk"
 REPLAY_CAPACITY = 32        # replies a request channel keeps, for retransmissions
+TILE_FRESHNESS_MS = 60000.0  # how long a content store keeps a tile listing
+IPRES_FRESHNESS_MS = 5000.0  # how long a client keeps a resolved address
 
 
 def bulk_channel(engine_id: str) -> str:
@@ -224,42 +228,8 @@ class EngineConfig:
     host: str = ""
     port: int = 0
     cache_capacity: int = 4096
-    tile_freshness_ms: float = 60000.0
-    ipres_freshness_ms: float = 5000.0
-    proc_base_ms: float = 3.0
-    proc_per_item_ms: float = 0.008
     bf_m: int = bloom.DEFAULT_M
     bf_h: int = bloom.DEFAULT_H
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.engine_id,
-            "servedPrefixes": list(self.served_prefixes),
-            "address": {"host": self.host, "port": self.port},
-            "cacheCapacity": self.cache_capacity,
-            "tileFreshnessMs": self.tile_freshness_ms,
-            "ipresFreshnessMs": self.ipres_freshness_ms,
-            "procBaseMs": self.proc_base_ms,
-            "procPerItemMs": self.proc_per_item_ms,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict, bf_m: int = bloom.DEFAULT_M,
-                  bf_h: int = bloom.DEFAULT_H) -> "EngineConfig":
-        address = data.get("address", {})
-        return cls(
-            engine_id=data["id"],
-            served_prefixes=list(data["servedPrefixes"]),
-            host=address.get("host", ""),
-            port=int(address.get("port", 0)),
-            cache_capacity=int(data.get("cacheCapacity", 4096)),
-            tile_freshness_ms=float(data.get("tileFreshnessMs", 60000.0)),
-            ipres_freshness_ms=float(data.get("ipresFreshnessMs", 5000.0)),
-            proc_base_ms=float(data.get("procBaseMs", 3.0)),
-            proc_per_item_ms=float(data.get("procPerItemMs", 0.008)),
-            bf_m=bf_m,
-            bf_h=bf_h,
-        )
 
 
 @dataclass
@@ -500,7 +470,7 @@ class Engine:
         rows = self.tile_tables[tile.level].get(tile_prefix(tile).text)
         group = rows.get(tile_name.tid + "/" + tile_name.cid, ()) if rows else ()
         return WireTile(tile_name, [self.co_table[name] for name in group],
-                        int(self.config.tile_freshness_ms))
+                        int(TILE_FRESHNESS_MS))
 
     def _tile_response(self, interest: Interest, tile_name: TileName):
         base_text = tile_name.name.text
@@ -518,9 +488,9 @@ class Engine:
             return None
         tile = self.tile_query(tile_name)
         self.processed_queries += 1
-        delay = self.config.proc_base_ms + self.config.proc_per_item_ms * len(tile.items)
-        contents = build_segments(tile_name.name, tile.to_wire(),
-                                  self.config.tile_freshness_ms, self._sign)
+        delay = DEFAULT_C1_MS + DEFAULT_C2_MS * len(tile.items)
+        contents = build_segments(tile_name.name, tile.to_wire(), TILE_FRESHNESS_MS,
+                                  self._sign)
         self._tile_cache.put(base_text, (self._version, contents))
         return contents, delay
 
@@ -546,8 +516,7 @@ class Engine:
                                   "host": self.config.host,
                                   "port": self.config.port,
                                   "prefix": Name(served).text})
-        return build_segments(ipres.name, payload,
-                              self.config.ipres_freshness_ms, self._sign), 0.0
+        return build_segments(ipres.name, payload, IPRES_FRESHNESS_MS, self._sign), 0.0
 
     def handle_named_interest(self, interest: Interest, base: Name):
         """Producer for the engine's served prefixes: tile queries, stored

@@ -23,8 +23,8 @@ service, are asked through `engine.send_request`: a fresh name per request,
 so two handlers of one user are independent sessions, and one decoder for
 every reply, which raises `ServiceError` for an error reply.  Nothing that
 does not decode escapes raw: a listing marks its tile failed, a
-dereferenced body counts as rejected, and a Bloom or bulk reply that does
-not answer what was sent raises `ServiceError`.
+dereferenced body counts as rejected, and an address, Bloom or bulk reply
+that does not answer what was sent raises `ServiceError`.
 """
 
 from __future__ import annotations
@@ -352,9 +352,15 @@ class InsertHandler(_SubstrateClient):
         result = self.substrate.get(IpResName(tile).name.text,
                                     validator=self._validate_segment)
         self.resolutions += 1
-        info = json.loads(result.payload.decode("utf-8"))
-        expiry = now + result.segments[0].freshness_ms
-        self._addresses[Name.from_text(info["prefix"]).components] = (info, expiry)
+        try:
+            info = json.loads(result.payload)
+            prefix = Name.from_text(info["prefix"]).components
+            if not isinstance(info["engineId"], str):
+                raise TypeError("engineId is not a string")
+        except (ValueError, KeyError, TypeError, AttributeError, OgbError) as exc:
+            raise ServiceError("address reply for %s does not decode: %r"
+                               % (result.name, exc)) from None
+        self._addresses[prefix] = (info, now + result.segments[0].freshness_ms)
         return info
 
     def _push(self, items: list[OgbData], op: str) -> InsertReport:

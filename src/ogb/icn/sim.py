@@ -33,11 +33,9 @@ from .core import (
 class SimLink:
     """One direction of a link; bandwidth None means unconstrained."""
 
-    def __init__(self, loop: EventLoop, bandwidth_mbps: Optional[float],
-                 latency_ms: float = 0.0):
+    def __init__(self, loop: EventLoop, bandwidth_mbps: Optional[float]):
         self.loop = loop
         self.bandwidth_mbps = bandwidth_mbps
-        self.latency_ms = latency_ms
         self.next_free = 0.0
         self.bytes_sent = 0
 
@@ -49,8 +47,7 @@ class SimLink:
             tx = nbytes * 8.0 / (self.bandwidth_mbps * 1000.0)
         self.next_free = start + tx
         self.bytes_sent += nbytes
-        self.loop.schedule(self.next_free + self.latency_ms - self.loop.now,
-                           deliver, *args)
+        self.loop.schedule(self.next_free - self.loop.now, deliver, *args)
 
 
 LOCAL = "local"
@@ -134,15 +131,14 @@ class SimNetwork:
         self._adjacency[node_id] = []
         return node
 
-    def connect(self, a: str, b: str, bandwidth_mbps: Optional[float] = None,
-                latency_ms: float = 0.0) -> None:
+    def connect(self, a: str, b: str, bandwidth_mbps: Optional[float] = None) -> None:
         """Create both directions of a link, each shaped by `bandwidth_mbps`."""
         if a not in self.nodes or b not in self.nodes:
             raise ConfigError("connect() on unknown node: %r-%r" % (a, b))
         if b in self.nodes[a].links:
             raise ConfigError("duplicate link %r-%r" % (a, b))
-        self.nodes[a].links[b] = SimLink(self.loop, bandwidth_mbps, latency_ms)
-        self.nodes[b].links[a] = SimLink(self.loop, bandwidth_mbps, latency_ms)
+        self.nodes[a].links[b] = SimLink(self.loop, bandwidth_mbps)
+        self.nodes[b].links[a] = SimLink(self.loop, bandwidth_mbps)
         self._adjacency[a].append(b)
         self._adjacency[b].append(a)
 

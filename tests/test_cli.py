@@ -284,6 +284,10 @@ def _engine_with(**changes):
     _engine_with(cacheCapacity=-1),
     _engine_with(tileFreshnessMs=-5),
     _engine_with(procBaseMs=-1.0),
+    _engine_with(ipresFreshnessMs=5000.0),
+    _engine_with(procPerItemMs=0.008),
+    _config_with(topology__latencyMs=0.0),
+    _config_with(defaults={}),
     _engine_with(address={"host": 7}),
     _engine_with(address={"port": -4}),
     _config_with(bfServer__address={"port": 65536}),
@@ -291,9 +295,10 @@ def _engine_with(**changes):
 ], ids=["array", "engine-string", "engine-without-prefixes", "m-string",
         "m-zero", "h-negative", "m-bool", "seed-string", "bandwidth-negative",
         "bandwidth-string", "port-string", "capacity-bool", "capacity-float",
-        "capacity-negative", "freshness-negative", "proc-negative",
-        "engine-host-number", "engine-port-negative", "bf-port-too-big",
-        "cert-port-too-big"])
+        "capacity-negative", "tile-freshness-refused", "proc-base-refused",
+        "ipres-freshness-refused", "proc-per-item-refused", "latency-refused",
+        "defaults-refused", "engine-host-number", "engine-port-negative",
+        "bf-port-too-big", "cert-port-too-big"])
 def test_bad_config_is_one_json_config_error(capsys, tmp_path, config):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(config), encoding="utf-8")
@@ -318,6 +323,14 @@ def test_cluster_start_is_a_noop_in_sim_mode(capsys, config_path):
 def test_cluster_stop_without_pidfile_fails(capsys, config_path):
     code, _, err = run(capsys, "--config", config_path, "cluster", "stop")
     assert code == 1
+    assert json.loads(err)["error"] == "config-error"
+
+
+def test_cluster_stop_with_a_corrupt_pidfile_fails(capsys, config_path):
+    config_path.with_suffix(".pid").write_text("garbage", encoding="utf-8")
+    code, out, err = run(capsys, "--config", config_path, "cluster", "stop")
+    assert code == 1 and out == ""
+    assert "Traceback" not in err
     assert json.loads(err)["error"] == "config-error"
 
 

@@ -29,7 +29,7 @@ def two_zone_dict(keys_dir=None, storage_dir=None):
             {"id": "west", "servedPrefixes": ["ndn:/OGB/-74"]},
         ],
         "bfServer": {"m": 4096, "h": 5},
-        "topology": {"handlerLinkMbps": None, "latencyMs": 0.0},
+        "topology": {"handlerLinkMbps": None},
     }
     if keys_dir is not None:
         data["keysDir"] = str(keys_dir)
@@ -90,8 +90,19 @@ def test_config_round_trip_and_defaults():
     assert config.bf_m == 4096 and config.bf_h == 5
     assert config.engines[0].bf_m == 4096
     assert config.handler_bandwidth_mbps is None
-    again = ClusterConfig.from_dict(config.to_dict())
-    assert again.to_dict() == config.to_dict()
+
+
+@pytest.mark.parametrize("section, key", [
+    (None, "defaults"), ("topology", "latencyMs"),
+    ("engine", "tileFreshnessMs"), ("engine", "ipresFreshnessMs"),
+    ("engine", "procBaseMs"), ("engine", "procPerItemMs")])
+def test_a_key_of_a_fixed_value_is_refused_by_name(section, key):
+    data = two_zone_dict()
+    target = {None: data, "topology": data["topology"],
+              "engine": data["engines"][1]}[section]
+    target[key] = {}
+    with pytest.raises(ConfigError, match=key):
+        ClusterConfig.from_dict(data)
 
 
 def test_config_rejects_overlapping_prefixes():

@@ -7,6 +7,7 @@ import pytest
 
 from ogb import trust
 from ogb.cluster import ClusterConfig, SimCluster
+from ogb.engine import IPRES_FRESHNESS_MS
 from ogb.errors import AuthorizationError, PartialResultError
 from ogb.frontend import Credentials, InsertHandler, QueryHandler, RangeQuery
 from ogb.geodata import OgbData, canonical_json, make_ogb_data_set, parse_feature
@@ -100,11 +101,10 @@ def test_address_cache_saves_resolutions():
 
 
 def test_an_expired_address_is_replaced_not_kept():
-    cluster = world_cluster(engines=[{"id": "e1", "servedPrefixes": ["ndn:/OGB"],
-                                      "ipresFreshnessMs": 50}])
+    cluster = world_cluster()
     _, ih = handlers(cluster)
     assert ih.insert(starbucks_dict()).resolutions == 1
-    cluster.substrate.advance(100)               # past the address's expiry
+    cluster.substrate.advance(IPRES_FRESHNESS_MS)   # past the address's expiry
     second = starbucks_dict()
     second["properties"]["oid"] = 77
     report = ih.insert(second)

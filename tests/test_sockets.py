@@ -14,7 +14,7 @@ from ogb import tessellation, trust
 from ogb.bloom import BloomServer
 from ogb.cluster import (ClusterConfig, KeyStore, SimCluster, SocketCluster,
                          network_cert_fetcher)
-from ogb.engine import Engine, bulk_channel
+from ogb.engine import IPRES_FRESHNESS_MS, TILE_FRESHNESS_MS, Engine, bulk_channel
 from ogb.errors import (ConfigError, NoRouteError, PartialResultError, ProtocolError,
                         ServiceError, TimeoutError_)
 from ogb.frontend import Credentials, InsertHandler, QueryHandler, RangeQuery
@@ -656,8 +656,9 @@ def deploy(mode, storage, keys_dir=None):
 NEIGHBOUR = dict(WORLD[0], properties=dict(WORLD[0]["properties"], oid=77))
 
 
-def check_flush_caches_shows_a_later_insert(mode, storage):
-    cluster, qh, ih, close = deploy(mode, storage)
+@pytest.mark.parametrize("mode", ["sim", "socket"])
+def test_flush_caches_shows_a_later_insert(mode, tmp_path):
+    cluster, qh, ih, close = deploy(mode, tmp_path / "storage")
     try:
         assert ih.insert(WORLD[0]).all_accepted
         assert len(run_queries(qh)[1]) == 1
@@ -683,7 +684,9 @@ def check_flush_caches_shows_a_later_insert(mode, storage):
         close()
 
 
-def check_snapshot_folds_the_log(mode, storage):
+@pytest.mark.parametrize("mode", ["sim", "socket"])
+def test_snapshot_folds_the_log(mode, tmp_path):
+    storage = tmp_path / "storage"
     cluster, _, ih, close = deploy(mode, storage)
     try:
         assert ih.insert(WORLD[0]).all_accepted
@@ -699,22 +702,6 @@ def check_snapshot_folds_the_log(mode, storage):
         close()
 
 
-def test_socket_flush_caches_shows_a_later_insert(tmp_path):
-    check_flush_caches_shows_a_later_insert("socket", tmp_path / "storage")
-
-
-def test_sim_flush_caches_shows_a_later_insert(tmp_path):
-    check_flush_caches_shows_a_later_insert("sim", tmp_path / "storage")
-
-
-def test_socket_snapshot_folds_the_log(tmp_path):
-    check_snapshot_folds_the_log("socket", tmp_path / "storage")
-
-
-def test_sim_snapshot_folds_the_log(tmp_path):
-    check_snapshot_folds_the_log("sim", tmp_path / "storage")
-
-
 def test_sim_a_stale_listing_lasts_only_its_freshness(tmp_path):
     cluster, qh, ih, close = deploy("sim", tmp_path / "storage")
     try:
@@ -722,7 +709,7 @@ def test_sim_a_stale_listing_lasts_only_its_freshness(tmp_path):
         assert len(run_queries(qh)[1]) == 1
         assert ih.insert(NEIGHBOUR).all_accepted
         assert len(run_queries(qh)[1]) == 1       # the cached listing
-        cluster.substrate.advance(cluster.config.engines[0].tile_freshness_ms)
+        cluster.substrate.advance(TILE_FRESHNESS_MS)
         assert len(run_queries(qh)[1]) == 2
     finally:
         close()
@@ -1210,6 +1197,17 @@ def test_replies_that_do_not_decode_fail_cleanly(tmp_path, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(Engine, "bulk_insert",
                           lambda engine, items: insert(engine, items)[:-1])
+            with pytest.raises(ServiceError):
+                ih.insert(NEIGHBOUR)
+
+        # An address reply that does not decode.
+        def unreadable_address(engine, ipres):
+            return build_segments(ipres.name, b"not json", 0.0, engine._sign), 0.0
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Engine, "_ipres_response", unreadable_address)
+            cluster.flush_caches()
+            cluster.substrate.advance(IPRES_FRESHNESS_MS)    # past the cached address
             with pytest.raises(ServiceError):
                 ih.insert(NEIGHBOUR)
 
