@@ -78,6 +78,10 @@ class ProtocolError(OgbError):
     """A malformed frame arrived on a socket transport."""
 
 
+class UnreachableError(OgbError):
+    """A socket client could not connect to a configured server."""
+
+
 class CalibrationError(OgbError):
     """Not enough distinct samples to fit the processing model."""
 

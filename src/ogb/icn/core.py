@@ -7,17 +7,18 @@ segments under `<name>/seg=<i>`; every segment carries the final segment
 index so a consumer can pipeline the rest after segment 0.
 
 Both ends are written once, here, for both transports.  `Host` answers
-interests from its content store, PIT and producers; a transport adds its
-clock and faces, and a simulated node forwards what no producer serves.
-A producer is called as `producer(interest, base)`, `base` being the name
-less its `seg=<i>`, and returns every segment of that object with a
-modeled delay, or None to hold the interest; the host answers the asked
-segment, or nothing for a name with no valid index.  `GetOperation`
-fetches one object and `fetch_many` keeps a window of them in flight; a
-transport supplies their clock, as an `EventLoop`, and how an interest
-leaves the host, as `express` (plus `withdraw` where one can be taken
-back).  Each segment interest is retried once, each attempt waiting its
-lifetime, on either transport.
+interests from its content store, PIT and producers, and forwards what no
+producer serves; a transport adds its clock, faces and routes.  A
+simulated node and a socket client forward; a socket server only
+produces.  A producer is called
+as `producer(interest, base)`, `base` being the name less its `seg=<i>`,
+and returns every segment of that object with a modeled delay, or None to
+hold the interest; the host answers the asked segment, or nothing for a
+name with no valid index.  `GetOperation` fetches one object and
+`fetch_many` keeps a window of them in flight; a transport supplies their
+clock, as an `EventLoop`, and how an interest enters its host, as
+`express`.  Each segment interest is retried once, each attempt waiting
+its lifetime, on either transport.
 """
 
 from __future__ import annotations
@@ -230,7 +231,7 @@ class Fib:
 class PitEntry:
     faces: list
     expiry: Optional[float]
-    upstream: set = field(default_factory=set)    # hops it was forwarded to
+    upstream: set = field(default_factory=set)    # faces it went out on
 
 
 class Pit:
@@ -266,18 +267,29 @@ class Pit:
         entry.expiry = expiry
         return True
 
-    def forwarded(self, name: str, hop) -> None:
-        self._entries[name].upstream.add(hop)
+    def forwarded(self, name: str, face) -> bool:
+        """Record a face the interest went out on; False if it is gone."""
+        entry = self._entries.get(name)
+        if entry is None:
+            return False
+        entry.upstream.add(face)
+        return True
 
     def consume(self, name: str, upstream=None) -> list:
-        """Remove the entry and return its faces.  Given the hop a content
-        came from, only when the interest was forwarded there: content from
-        any other hop is unsolicited, so it neither satisfies nor is cached."""
+        """Remove the entry and return its faces.  Given the face a content
+        came in on, only when the interest went out there: content from any
+        other face is unsolicited, so it neither satisfies nor is cached."""
         entry = self._entries.get(name)
         if entry is None or (upstream is not None and upstream not in entry.upstream):
             return []
         del self._entries[name]
         return entry.faces
+
+    def consume_upstream(self, face) -> list:
+        """Remove every entry that went out on `face`; returns their faces."""
+        names = [name for name, entry in self._entries.items()
+                 if face in entry.upstream]
+        return [f for name in names for f in self._entries.pop(name).faces]
 
     def drop_face(self, face) -> None:
         """Remove `face` from every entry, and each entry it leaves empty."""
@@ -331,8 +343,10 @@ class Host:
     answers every waiting face, and its delay is charged with segment 0
     only; with no segment, the entry is held for `satisfy`.  A transport
     adds `now_ms` and `_deliver(content, face)`, and may change what a delay
-    means (`_answer`) and where an unserved name goes (`_route`,
-    `_forward`).  State and producers need `dispatch_lock`.
+    means (`_answer`) and where an unserved name goes (`_route`, and
+    `_forward`, which records the face it sends on with `Pit.forwarded`).
+    State and producers need `dispatch_lock`; `_forward` runs after it is
+    released, so it may block on I/O.
     """
 
     def __init__(self, cache_capacity: int = 0):
@@ -362,7 +376,7 @@ class Host:
                 self.counters["cacheHits"] += 1
                 self._deliver(cached, face)
                 return
-            producer = self.producers.lookup(name)
+            producer = self.producers.lookup(name) if self.producers else None
             hop = None if producer is not None else self._route(name, face)
             if producer is None and hop is None:
                 self.counters["noRoute"] += 1
@@ -371,20 +385,32 @@ class Host:
             if not self.pit.add(name, face, expiry, now):
                 self.counters["aggregated"] += 1
                 return
-            if producer is None:
-                self.counters["forwarded"] += 1
-                self.pit.forwarded(name, hop)
-                self._forward(interest, hop)
+            if producer is not None:
+                self.counters["producerCalls"] += 1
+                try:
+                    base, index = split_segment(Name.from_text(name))
+                except NameParseError:
+                    return
+                result = producer(interest, base) if index is not None else None
+                if result is not None and index < len(result[0]):
+                    segments, delay_ms = result
+                    self._answer(segments[index], delay_ms if index == 0 else 0.0)
                 return
-            self.counters["producerCalls"] += 1
-            try:
-                base, index = split_segment(Name.from_text(name))
-            except NameParseError:
+            self.counters["forwarded"] += 1
+        self._forward(interest, hop)
+
+    def receive_content(self, content: ContentObject, face) -> None:
+        """A content that came in on `face`: it answers the faces waiting
+        on its name, and is cached, only if the interest went out there."""
+        with self.dispatch_lock:
+            self.counters["contentsIn"] += 1
+            faces = self.pit.consume(content.name, upstream=face)
+            if not faces:
+                self.counters["unsolicited"] += 1
                 return
-            result = producer(interest, base) if index is not None else None
-            if result is not None and index < len(result[0]):
-                segments, delay_ms = result
-                self._answer(segments[index], delay_ms if index == 0 else 0.0)
+            self.cs.put(content, self.now_ms())
+            for f in faces:
+                self._deliver(content, f)
 
     def _answer(self, content: ContentObject, delay_ms: float) -> None:
         self.cs.put(content, self.now_ms())
@@ -443,28 +469,26 @@ class Future:
 class GetOperation:
     """Fetch one named object: segment 0 first, then the rest pipelined.
 
-    `express(interest, on_content)` sends an interest out of the host; its
+    `express(interest, on_content)` hands an interest to the host; its
     reply, or None when the interest found no route, comes back as
-    `on_content(content)` run by `loop`.  `withdraw(name, on_content)`, when
-    given, takes back each interest still pending once the fetch fails.
+    `on_content(content)` run by `loop`.
 
     Each segment interest may be individually signed (`sign` maps a name to
     an envelope); `validator` runs on every arriving segment and a raised
     ValidationError fails the whole fetch.  One retry per segment, then
     timeout.  The `on_content` every segment interest leaves behind is the
     bound method `_on_content`, equal across retries, so the operation holds
-    no reference to itself and is freed with the last PIT entry, waiter or
-    event holding it.
+    no reference to itself and is freed with the last PIT entry or event
+    holding it.  Each segment must carry the same final segment index, an
+    int no less than its own index, unless a segment before it did.
     """
 
-    def __init__(self, express: Callable, withdraw: Optional[Callable], loop,
-                 name: str, payload: bytes = b"",
+    def __init__(self, express: Callable, loop, name: str, payload: bytes = b"",
                  sign: Optional[Callable] = None,
                  validator: Optional[Callable[[ContentObject], None]] = None,
                  lifetime_ms: Optional[float] = DEFAULT_LIFETIME_MS,
                  retries: int = 1):
         self.express = express
-        self.withdraw = withdraw
         self.loop = loop
         self.base = Name.from_text(name)
         self.name = name
@@ -490,11 +514,12 @@ class GetOperation:
         payload = self.payload if index == 0 else b""
         envelope = self.sign(seg, payload) if self.sign else None
         self._index_of[seg] = index
+        self.express(Interest(seg, payload, envelope, self.lifetime_ms),
+                     self._on_content)
+        # Timed after the host's PIT entry, so that has expired when it runs.
         if self.lifetime_ms is not None:
             self._timeouts[index] = self.loop.schedule(
                 self.lifetime_ms, self._on_timeout, index)
-        self.express(Interest(seg, payload, envelope, self.lifetime_ms),
-                     self._on_content)
 
     def _on_timeout(self, index: int) -> None:
         if self.future.done or index in self._segments:
@@ -525,14 +550,16 @@ class GetOperation:
             except ValidationError as exc:
                 self._abort(exc)
                 return
-        self._segments[index] = content
-        if content.final_segment is not None:
-            self._final = content.final_segment
-        if self._final is None:
-            self._abort(ValidationError("integrity",
-                                        "segment %d of %s lacks a final segment index"
-                                        % (index, self.name)))
+        final = content.final_segment
+        if final is None:
+            final = self._final
+        if type(final) is not int or final < index or self._final not in (None, final):
+            self._abort(ValidationError(
+                "integrity", "segment %d of %s has final segment index %r"
+                % (index, self.name, content.final_segment)))
             return
+        self._final = final
+        self._segments[index] = content
         for i in range(self._final + 1):
             if i not in self._retries_left:
                 self._request(i)
@@ -545,15 +572,10 @@ class GetOperation:
         for timeout in self._timeouts.values():
             timeout.cancel()
         self._timeouts.clear()
-        if self.withdraw is not None:
-            for name, index in self._index_of.items():
-                if index not in self._segments:
-                    self.withdraw(name, self._on_content)
         self.future.fail(error)
 
 
-def fetch_many(express: Callable, withdraw: Optional[Callable], loop,
-               requests: list[dict], window: int) -> list:
+def fetch_many(express: Callable, loop, requests: list[dict], window: int) -> list:
     """Fetch several objects with at most `window` in flight; returns a
     FetchResult or an Exception per request, in order.  Each request is the
     keyword arguments of one `GetOperation`."""
@@ -566,8 +588,7 @@ def fetch_many(express: Callable, withdraw: Optional[Callable], loop,
             idx = state["next"]
             state["next"] += 1
             state["pending"] += 1
-            future = GetOperation(express, withdraw, loop,
-                                  **requests[idx]).start()
+            future = GetOperation(express, loop, **requests[idx]).start()
 
             def finish(fut, _idx=idx):
                 results[_idx] = fut.error if fut.error is not None else fut.value
@@ -584,10 +605,9 @@ def fetch_many(express: Callable, withdraw: Optional[Callable], loop,
     return results
 
 
-def fetch(express: Callable, withdraw: Optional[Callable], loop,
-          name: str, **kwargs) -> FetchResult:
+def fetch(express: Callable, loop, name: str, **kwargs) -> FetchResult:
     """Fetch one object; raises the error that failed it."""
-    future = GetOperation(express, withdraw, loop, name, **kwargs).start()
+    future = GetOperation(express, loop, name, **kwargs).start()
     if not loop.run_until(lambda: future.done):
         raise TimeoutError_("network went idle while fetching %s" % name)
     if future.error is None:

@@ -85,6 +85,7 @@ class SimNode(Host):
         return hop
 
     def _forward(self, interest: Interest, hop: str) -> None:
+        self.pit.forwarded(interest.name, ("node", hop))
         self.links[hop].transmit(interest.wire_size,
                                  self.network.nodes[hop].receive_interest,
                                  interest, ("node", self.id))
@@ -94,16 +95,6 @@ class SimNode(Host):
             self.loop.schedule(delay_ms, super()._answer, content, 0.0)
         else:
             super()._answer(content, 0.0)
-
-    def receive_content(self, content: ContentObject, face) -> None:
-        self.counters["contentsIn"] += 1
-        faces = self.pit.consume(content.name, upstream=face[1])
-        if not faces:
-            self.counters["unsolicited"] += 1
-            return
-        self.cs.put(content, self.loop.now)
-        for f in faces:
-            self._deliver(content, f)
 
     def _deliver(self, content: ContentObject, face) -> None:
         if face[0] == LOCAL:
@@ -187,13 +178,12 @@ class SimSubstrate:
         self.loop.advance(delay_ms)
 
     def get_async(self, name: str, **kwargs) -> Future:
-        return GetOperation(self.node.express, None, self.loop, name,
-                            **kwargs).start()
+        return GetOperation(self.node.express, self.loop, name, **kwargs).start()
 
     def get(self, name: str, **kwargs) -> FetchResult:
-        return fetch(self.node.express, None, self.loop, name, **kwargs)
+        return fetch(self.node.express, self.loop, name, **kwargs)
 
     def get_many(self, requests: list[dict], window: int = 8) -> list:
         """Fetch several objects with at most `window` in flight; returns a
         FetchResult or an Exception per request, in order."""
-        return fetch_many(self.node.express, None, self.loop, requests, window)
+        return fetch_many(self.node.express, self.loop, requests, window)

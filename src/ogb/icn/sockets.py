@@ -11,14 +11,16 @@ because engine handlers are not thread-safe and an engine publishes through
 `satisfy` from inside its handler.  The delay a producer returns is the
 simulator's modeled processing time; it is not slept here.
 
-The SocketSubstrate runs the shared consumer (`core.fetch_many`,
-with its one retry per segment) on a wall-clock event loop of its own per
-call, so the frontend runs unchanged over real sockets.  It keeps one
-connection per server, whose reader thread hands each reply by name to
-the inbox of every call waiting on it.  Its FIB routes a name to a server's
-address; an interest routed to a server whose connection has closed first
-redials it once, reading its announcements again, so a restarted server is
-reached again.
+The SocketSubstrate is the same host again, with no producers and no
+content store, forwarding through its PIT as a simulated node does.  It
+runs the shared consumer (`core.fetch_many`) on a wall-clock event loop of
+its own per call, whose inbox is that call's face.  Its FIB routes a name
+to a server's address, and its faces toward the servers are connections,
+one per server, each with a reader thread that hands replies to the PIT.
+An interest routed to a closed connection first redials it once, reading
+its announcements again, so a restarted server is reached again; a closed
+connection fails every interest that went out on it.  Nothing blocks on
+I/O under the client's lock.
 
 Every connection sets TCP_NODELAY: pipelined interests and back-to-back
 replies would otherwise wait for the peer's delayed ACK (Nagle's
@@ -34,10 +36,9 @@ import random
 import socket
 import threading
 import time
-from functools import partial
 from typing import Callable, Optional
 
-from ..errors import ProtocolError
+from ..errors import OgbError, ProtocolError, UnreachableError
 from . import wire
 from .core import (ContentObject, EventLoop, FetchResult, Fib, Host, Interest,
                    Pit, fetch, fetch_many)
@@ -175,63 +176,26 @@ class ContentServer(Host):
 
 
 class _Peer(_ServedConn):
-    """One client connection.  A waiter is a (call loop, on_content) pair:
-    the reply to its name, or None once the connection closes, goes to that
-    loop's inbox."""
+    """One client connection: a face of the client's host."""
 
     def __init__(self, sock, address):
         super().__init__(sock)
         self.address = address
-        self.state = threading.Lock()
-        self.waiters: dict[str, list[tuple]] = {}
         self.closed = False
-
-    def add_waiter(self, name: str, waiter: tuple) -> bool:
-        """False if the connection is closed."""
-        with self.state:
-            if self.closed:
-                return False
-            pending = self.waiters.setdefault(name, [])
-            if waiter not in pending:           # a retry's is already there
-                pending.append(waiter)
-        return True
-
-    def drop_waiter(self, name: str, waiter: tuple) -> None:
-        with self.state:
-            pending = self.waiters.get(name, [])
-            if waiter in pending:
-                pending.remove(waiter)
-            if not pending:
-                self.waiters.pop(name, None)
-
-    def satisfy(self, name: str, content: Optional[ContentObject]) -> None:
-        with self.state:
-            pending = self.waiters.pop(name, [])
-        for loop, on_content in pending:
-            loop.inbox.put((on_content, content))
-
-    def close(self) -> None:
-        with self.state:
-            if self.closed:
-                return
-            self.closed = True
-            names = list(self.waiters)
-        for name in names:
-            self.satisfy(name, None)
-        _shut(self.sock)
 
 
 class _CallLoop(EventLoop):
     """The event loop of one socket call, on the wall clock.
 
-    Reader threads put (on_content, content) pairs into its inbox;
-    `run_until` runs them, and the timers as they fall due, on the calling
-    thread, so a call's fetches share no state with any other call's.
+    Its faces are (loop, on_content) pairs: the client's host puts their
+    replies into the loop's inbox, and `run_until` runs them, and the timers
+    as they fall due, on the calling thread, so a call's fetches share no
+    state with any other call's.
     """
 
     def __init__(self):
         super().__init__()
-        self.inbox: queue.SimpleQueue = queue.SimpleQueue()
+        self.inbox: Optional[queue.SimpleQueue] = queue.SimpleQueue()
 
     def schedule(self, delay_ms: float, fn, *args):
         self.now = _now_ms()
@@ -239,8 +203,8 @@ class _CallLoop(EventLoop):
 
     def run_until(self, predicate: Callable[[], bool]) -> bool:
         """Run until the predicate holds, then drop every timer and unread
-        reply: the call is over, and they would tie its operations and this
-        loop in a reference cycle."""
+        reply, and every later one: the call is over, and they would tie its
+        operations and this loop in a reference cycle."""
         try:
             while not predicate():
                 wait = None
@@ -255,23 +219,35 @@ class _CallLoop(EventLoop):
             return True
         finally:
             self.clear()
-            self.inbox = queue.SimpleQueue()
+            self.inbox = None
 
 
-class SocketSubstrate:
-    """Consumer endpoint over TCP, one connection per configured server."""
+class SocketSubstrate(Host):
+    """Consumer endpoint over TCP: a host with no producers and no content
+    store, whose FIB routes a name to a server's address and whose faces
+    toward the servers are its connections, one per server."""
 
     def __init__(self, peers: list[tuple[str, int]]):
+        super().__init__()
+        self.dispatch_lock = threading.Lock()
         self.fib = Fib()                     # prefix -> server address
         self._peers: dict[tuple[str, int], _Peer] = {}
         self._rng = random.Random()
         self._dial_lock = threading.Lock()
         self._closed = False
-        for address in peers:
-            self._connect(tuple(address))
+        try:
+            for address in peers:
+                self._connect(tuple(address))
+        except BaseException:
+            self.close()
+            raise
 
     def _connect(self, address: tuple[str, int]) -> _Peer:
-        sock = socket.create_connection(address, timeout=CONNECT_TIMEOUT_S)
+        try:
+            sock = socket.create_connection(address, timeout=CONNECT_TIMEOUT_S)
+        except OSError as exc:
+            raise UnreachableError("cannot reach %s:%d: %s"
+                                   % (address + (exc,))) from None
         try:
             _no_delay(sock)
             prefixes = []
@@ -283,32 +259,22 @@ class SocketSubstrate:
                 if message["type"] != wire.TYPE_ANNOUNCE:
                     raise ProtocolError("expected an announce from %s:%d, got %r"
                                         % (address + (message["type"],)))
-                prefixes.append(message["name"])
+                prefixes.append(wire.parse_announce(message))
                 if message.get("last"):
                     break
+            for prefix in prefixes:
+                self.fib.add(prefix, address)
+        except OSError as exc:
+            _shut(sock)
+            raise UnreachableError("lost %s:%d during the announce handshake: %s"
+                                   % (address + (exc,))) from None
         except BaseException:
             _shut(sock)
             raise
-        for prefix in prefixes:
-            self.fib.add(prefix, address)
         sock.settimeout(None)
         peer = self._peers[address] = _Peer(sock, address)
         threading.Thread(target=self._read_loop, args=(peer,),
                          daemon=True).start()
-        return peer
-
-    def _peer(self, address: tuple[str, int]) -> _Peer:
-        """The connection to `address`, redialled once if it has closed; a
-        failed redial leaves the closed one, which answers nothing."""
-        peer = self._peers[address]
-        if peer.closed:
-            with self._dial_lock:
-                peer = self._peers[address]
-                if peer.closed and not self._closed:
-                    try:
-                        peer = self._connect(address)
-                    except (OSError, ProtocolError) as exc:
-                        log.debug("redial of %s:%d failed: %s", *address, exc)
         return peer
 
     def _read_loop(self, peer: _Peer) -> None:
@@ -318,44 +284,69 @@ class SocketSubstrate:
                 if message is None:
                     return
                 if message["type"] == wire.TYPE_CONTENT:
-                    content = wire.parse_content(message)
-                    peer.satisfy(content.name, content)
+                    self.receive_content(wire.parse_content(message), peer)
                 elif message["type"] == wire.TYPE_ANNOUNCE:
-                    self.fib.add(message["name"], peer.address)
-        except (ProtocolError, OSError):
+                    self.fib.add(wire.parse_announce(message), peer.address)
+        except (OgbError, OSError):
             pass
         finally:
-            peer.close()
+            self._drop(peer)
+
+    def _drop(self, peer: _Peer) -> None:
+        """Close a connection and fail every interest that went out on it."""
+        peer.closed = True
+        _shut(peer.sock)
+        with self.dispatch_lock:
+            for face in self.pit.consume_upstream(peer):
+                self._deliver(None, face)
 
     def close(self) -> None:
         with self._dial_lock:
             self._closed = True
-        for peer in self._peers.values():
-            peer.close()
+        for peer in list(self._peers.values()):
+            self._drop(peer)
 
     def now_ms(self) -> float:
         return _now_ms()
 
-    def _express(self, loop: _CallLoop, interest: Interest, on_content) -> None:
-        """Send an interest to the server its name routes to.  No route, a
-        closed connection that a redial cannot replace, or a failed send
-        answers it with None."""
-        address = self.fib.lookup(interest.name)
-        peer = None if address is None else self._peer(address)
-        nonce = self._rng.getrandbits(63)
-        if (peer is None or not peer.add_waiter(interest.name, (loop, on_content))
-                or not peer.send(wire.interest_message(interest, nonce))):
-            loop.inbox.put((on_content, None))
-
-    def _withdraw(self, loop: _CallLoop, name: str, on_content) -> None:
+    def _route(self, name: str, face):
+        """The server's address; with none, the call fails at once."""
         address = self.fib.lookup(name)
-        if address is not None:
-            self._peers[address].drop_waiter(name, (loop, on_content))
+        if address is None:
+            self._deliver(None, face)
+        return address
+
+    def _forward(self, interest: Interest, address) -> None:
+        """Send on the connection to `address`, redialled once first if it
+        has closed.  The PIT entry records that connection, so only it
+        answers or fails the entry; a failed send drops it."""
+        peer = self._peers[address]
+        if peer.closed:
+            with self._dial_lock:
+                peer = self._peers[address]
+                if peer.closed and not self._closed:
+                    try:
+                        peer = self._connect(address)
+                    except OgbError as exc:
+                        log.debug("redial of %s:%d failed: %s", *address, exc)
+        with self.dispatch_lock:
+            if not self.pit.forwarded(interest.name, peer):
+                return
+        nonce = self._rng.getrandbits(63)
+        if peer.closed or not peer.send(wire.interest_message(interest, nonce)):
+            self._drop(peer)
+
+    def _deliver(self, content: Optional[ContentObject], face) -> None:
+        loop, on_content = face
+        inbox = loop.inbox
+        if inbox is not None:
+            inbox.put((on_content, content))
 
     def _call(self) -> tuple:
-        """express, withdraw and a fresh loop for one call."""
+        """The express of one call, and its fresh loop."""
         loop = _CallLoop()
-        return partial(self._express, loop), partial(self._withdraw, loop), loop
+        return (lambda interest, on_content:
+                self.receive_interest(interest, (loop, on_content))), loop
 
     def get(self, name: str, **kwargs) -> FetchResult:
         return fetch(*self._call(), name, **kwargs)

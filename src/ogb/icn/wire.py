@@ -16,7 +16,7 @@ import struct
 from typing import Optional
 
 from ..errors import NameParseError, ProtocolError
-from ..names import Name
+from ..names import SCHEME, Name
 from ..trust import TrustEnvelope
 from .core import ContentObject, Interest
 
@@ -81,16 +81,21 @@ def interest_message(interest: Interest, nonce: int) -> dict:
     return message
 
 
+def _name(message: dict) -> str:
+    """The frame's name, which must parse, as a host's FIB lookup parses it."""
+    name = message["name"]
+    if not isinstance(name, str):
+        raise TypeError("name %r is not a string" % (name,))
+    if not name.startswith(SCHEME) or "" in name[len(SCHEME):].split("/"):
+        Name.from_text(name)                     # raises its refusal
+    return name
+
+
 def parse_interest(message: dict) -> Interest:
-    """The interest a frame carries; its name must parse, as a host's FIB
-    lookup parses it."""
+    """The interest a frame carries."""
     try:
-        name = message["name"]
-        if not isinstance(name, str):
-            raise TypeError("name %r is not a string" % (name,))
-        Name.from_text(name)
         return Interest(
-            name=name,
+            name=_name(message),
             payload=base64.b64decode(message.get("payloadBase64", "")),
             envelope=(TrustEnvelope.from_dict(message["signature"])
                       if "signature" in message else None),
@@ -115,18 +120,31 @@ def content_message(content: ContentObject) -> dict:
 
 
 def parse_content(message: dict) -> ContentObject:
+    """The content a frame carries; a final segment index, if present, is
+    a non-negative int."""
     try:
+        final = message.get("finalSegment")
+        if "finalSegment" in message and (type(final) is not int or final < 0):
+            raise ValueError("final segment index %r" % (final,))
         return ContentObject(
-            name=message["name"],
+            name=_name(message),
             payload=base64.b64decode(message["payloadBase64"]),
             freshness_ms=float(message.get("freshnessMs", 0.0)),
             envelope=(TrustEnvelope.from_dict(message["signature"])
                       if "signature" in message else None),
-            final_segment=message.get("finalSegment"),
+            final_segment=final,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, NameParseError) as exc:
         raise ProtocolError("malformed content frame: %s" % exc) from None
 
 
 def announce_message(prefix: str, last: bool) -> dict:
     return {"type": TYPE_ANNOUNCE, "name": prefix, "last": last}
+
+
+def parse_announce(message: dict) -> str:
+    """The prefix an announce frame carries."""
+    try:
+        return _name(message)
+    except (KeyError, TypeError, NameParseError) as exc:
+        raise ProtocolError("malformed announce frame: %s" % exc) from None

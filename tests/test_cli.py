@@ -1,6 +1,7 @@
 """End-to-end command line runs against an in-process sim cluster."""
 
 import json
+import socket
 
 import pytest
 
@@ -234,6 +235,29 @@ def test_unroutable_tiles_exit_with_partial_report(capsys, tmp_path):
     assert body["error"] == "partial-result-error"
     assert len(body["failedTiles"]) == body["report"]["counts"]["tilesQueried"]
     assert body["report"]["features"] == []
+
+
+def test_socket_commands_without_a_cluster_fail_with_one_json_error(capsys, tmp_path):
+    listeners = [socket.create_server(("127.0.0.1", 0)) for _ in range(3)]
+    ports = [listener.getsockname()[1] for listener in listeners]
+    for listener in listeners:
+        listener.close()                    # nothing listens there now
+    address = lambda port: {"host": "127.0.0.1", "port": port}
+    config = tmp_path / "sock.json"
+    config.write_text(json.dumps({
+        "mode": "socket", "seed": 7, "keysDir": "keys",
+        "engines": [{"id": "rome", "servedPrefixes": ["ndn:/OGB"],
+                     "address": address(ports[0])}],
+        "bfServer": {"m": 4096, "h": 5, "address": address(ports[1])},
+        "certRepo": {"address": address(ports[2])},
+    }), encoding="utf-8")
+    for argv in (["query", "--bbox", ROME_BBOX, "--tid", "Foo", "--uid", "alice",
+                  "--cid", "ShopApp"], ["bf-stats"]):
+        code, out, err = run(capsys, "--config", config, *argv)
+        assert (code, out) == (1, ""), argv
+        [line] = err.splitlines()
+        assert "127.0.0.1:%d" % ports[0] in json.loads(line)["message"]
+        assert "Traceback" not in err
 
 
 def test_usage_errors_exit_2(capsys, config_path):

@@ -5,13 +5,14 @@ import time
 
 import pytest
 
-from ogb.errors import (ConfigError, NameParseError, NoRouteError, TimeoutError_,
-                        ValidationError)
+from ogb.errors import (ConfigError, NameParseError, NoRouteError, OgbError,
+                        TimeoutError_, ValidationError)
 from ogb.icn import (
     ContentObject,
     ContentStore,
     EventLoop,
     Fib,
+    Future,
     Interest,
     Pit,
     SimNetwork,
@@ -22,6 +23,7 @@ from ogb.icn import (
 from ogb.icn.core import PIT_SWEEP_MIN
 from ogb.icn.sim import LOCAL
 from ogb.icn.sockets import ContentServer, SocketSubstrate
+from ogb.names import segment_name
 
 
 def test_event_loop_orders_and_advances():
@@ -323,7 +325,8 @@ class _Face:
 
 class OnContentServer:
     """The same over a loopback ContentServer: each consumer is a client
-    connection, and the names waited on are the waiters left on them."""
+    host with its own connection, and the names waited on are the live
+    entries of the clients' PITs."""
 
     def __init__(self, attach):
         self.host = ContentServer(cache_capacity=64)
@@ -341,19 +344,25 @@ class OnContentServer:
 
     def waiting(self):
         return [name for client in self._clients
-                for peer in client._peers.values() for name in peer.waiters]
+                for name, entry in client.pit._entries.items()
+                if entry.expiry is None or client.now_ms() < entry.expiry]
 
     def ask(self, substrate, name, **kwargs):
-        got = {}
-        thread = threading.Thread(
-            target=lambda: got.update(result=substrate.get(name, **kwargs)),
-            daemon=True)
+        future = Future()
+
+        def run():
+            try:
+                future.resolve(substrate.get(name, **kwargs))
+            except OgbError as exc:
+                future.fail(exc)
+
+        thread = threading.Thread(target=run, daemon=True)
         thread.start()
 
         def result():
             thread.join(timeout=5.0)
             assert not thread.is_alive()
-            return got["result"]
+            return future.result()
 
         return result
 
@@ -497,6 +506,25 @@ def test_get_many_keeps_order_with_errors(consumer_of):
     items = [r for i, r in enumerate(results) if i not in (2, 4, 7)]
     assert [r.payload for r in items] == [b"got %d" % i for i in range(9)]
     assert waiting() == []
+
+
+@pytest.mark.parametrize("finals", [[-1], ["x"], [2, 0, 2], [2, 1, 2]],
+                         ids=["negative", "not-an-int", "below-its-index", "changed"])
+def test_a_bad_final_segment_index_fails_the_fetch(host_of, finals):
+    def producer(interest, base):
+        return [ContentObject(segment_name(base, i).text, b"x", final_segment=final)
+                for i, final in enumerate(finals)], 0.0
+
+    rig = host_of(producer)
+    result = rig.ask(rig.substrate, "ndn:/svc/x", lifetime_ms=200.0)
+    if isinstance(rig, OnContentServer) and finals in ([-1], ["x"]):
+        # The wire refuses the frame, which drops the connection it came on.
+        with pytest.raises(NoRouteError):
+            result()
+    else:
+        with pytest.raises(ValidationError) as err:
+            result()
+        assert err.value.reason == "integrity"
 
 
 # -- the host contract, the same on both transports -----------------------------

@@ -16,7 +16,7 @@ from ogb.cluster import (ClusterConfig, KeyStore, SimCluster, SocketCluster,
                          network_cert_fetcher)
 from ogb.engine import IPRES_FRESHNESS_MS, TILE_FRESHNESS_MS, Engine, bulk_channel
 from ogb.errors import (ConfigError, NoRouteError, PartialResultError, ProtocolError,
-                        ServiceError, TimeoutError_)
+                        ServiceError, TimeoutError_, UnreachableError)
 from ogb.frontend import Credentials, InsertHandler, QueryHandler, RangeQuery
 from ogb.geodata import (INLINE, REFERENCE, OgbData, canonical_data_name,
                          WireTile, canonical_json, is_gone, make_ogb_data_set,
@@ -76,6 +76,13 @@ def test_wire_rejects_garbage():
     for name in ("no-scheme", "ndn:/", "ndn:/a//b", 7, None):
         with pytest.raises(ProtocolError):
             wire.parse_interest({"type": "interest", "name": name, "nonce": 1})
+        with pytest.raises(ProtocolError):
+            wire.parse_announce(dict(wire.announce_message("ndn:/a", True), name=name))
+    content = wire.content_message(ContentObject("ndn:/a/seg=0", b"", final_segment=0))
+    for bad in ({"name": 7}, {"name": "ndn:/a//b"}, {"finalSegment": "x"},
+                {"finalSegment": -3}, {"finalSegment": None}, {"finalSegment": True}):
+        with pytest.raises(ProtocolError):
+            wire.parse_content(dict(content, **bad))
 
 
 def echo_server(port=0):
@@ -176,6 +183,97 @@ def test_threads_of_one_substrate_redial_a_restarted_server_once():
             restarted.stop()
 
 
+def test_calls_of_one_substrate_share_one_interest_and_its_connection():
+    server = ContentServer()
+    server.attach_producer("ndn:/hold", lambda interest, base: None)
+    server.start()
+    client = SocketSubstrate([server.address])
+    try:
+        payloads = []
+        threads = [threading.Thread(target=lambda: payloads.append(
+            client.get("ndn:/hold/x", lifetime_ms=None).payload)) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        limit = time.monotonic() + 5.0
+        while client.counters["aggregated"] + server.counters["interestsIn"] < 2:
+            assert time.monotonic() < limit
+            time.sleep(0.01)
+        assert (client.counters["forwarded"], client.counters["aggregated"]) == (1, 1)
+        assert server.counters["interestsIn"] == 1
+        # A reply from a connection the interest did not go out on is dropped.
+        content = build_segments("ndn:/hold/x", b"event")[0]
+        client.receive_content(content, object())
+        assert client.counters["unsolicited"] == 1
+        assert server.satisfy(content) == 1
+        for thread in threads:
+            thread.join(timeout=5.0)
+        assert payloads == [b"event"] * 2
+        assert len(client.pit) == 0
+    finally:
+        client.close()
+        server.stop()
+
+
+def test_a_substrate_that_cannot_reach_every_server_leaks_nothing():
+    server, _ = echo_server()
+    dead = ("127.0.0.1", free_ports(1)[0])
+    baseline = threading.active_count()
+    try:
+        for _ in range(3):
+            with pytest.raises(UnreachableError, match="127.0.0.1:%d" % dead[1]):
+                SocketSubstrate([server.address, dead])
+        limit = time.monotonic() + 5.0
+        while ((threading.active_count() > baseline or server._conns)
+               and time.monotonic() < limit):
+            time.sleep(0.01)
+        assert threading.active_count() <= baseline
+        with server.dispatch_lock:
+            assert not server._conns
+    finally:
+        server.stop()
+
+
+def test_a_bad_announce_closes_its_connection_cleanly(monkeypatch):
+    uncaught = []
+    monkeypatch.setattr(threading, "excepthook", uncaught.append)
+    listener = socket.create_server(("127.0.0.1", 0))
+    address = listener.getsockname()
+    announce = wire.announce_message("ndn:/echo", last=True)
+    bad = dict(announce, name="ndn:/echo//x")
+    conns = []
+
+    def serve(*frames):
+        def run():
+            conns.append(listener.accept()[0])
+            for frame in frames:
+                wire.write_frame(conns[-1], frame)
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        return thread
+
+    client = None
+    try:
+        serve(bad)
+        with pytest.raises(ProtocolError):          # in the handshake
+            SocketSubstrate([address])
+        served = serve(announce)
+        client = SocketSubstrate([address])
+        served.join(timeout=5.0)
+        peer = client._peers[address]
+        wire.write_frame(conns[-1], bad)            # once connected
+        limit = time.monotonic() + 5.0
+        while not peer.closed:
+            assert time.monotonic() < limit
+            time.sleep(0.01)
+        assert uncaught == []
+    finally:
+        if client is not None:
+            client.close()
+        for conn in conns:
+            conn.close()
+        listener.close()
+
+
 def test_connections_set_tcp_nodelay():
     server, _ = echo_server()
     try:
@@ -229,6 +327,13 @@ def test_concurrent_get_many_on_one_substrate():
         assert not any(thread.is_alive() for thread in threads)
         assert [[r.payload for r in results[k]] for k in range(6)] == \
             [[b"pong" * 6000] * 6] * 6
+        # The threads share one PIT: each of the 108 segment interests was
+        # sent or joined a sent one, and every entry was answered.
+        counts = client.counters
+        assert counts["interestsIn"] == 108
+        assert counts["interestsIn"] == counts["forwarded"] + counts["aggregated"]
+        assert counts["contentsIn"] == counts["forwarded"]
+        assert len(client.pit) == 0
         client.close()
     finally:
         sys.setswitchinterval(interval)
