@@ -48,6 +48,24 @@ In simulated mode each fresh tile computation reports a processing delay of
 c1 + c2 * items, the engine-side share of the query cost model, with the
 constants of `perfmodel`.
 
+A client's large range query asks many sibling tiles at once, most of them
+empty, so an engine signs listings by group.  A segment-0 tile interest
+whose batch path has at least GROUP_MIN_PATH steps (a client batch of more
+than 8 tiles) is answered from its listing group: the same-level siblings
+of the asked tile (the children of its parent, or a level-0 tile's aligned
+block of GROUP_BLOCK x GROUP_BLOCK degrees) that this engine serves, for
+the interest's tenant and client id at the current table version.  Each
+member's one-segment listing is a Merkle leaf (`trust.batch_leaf`); the
+root is signed once, and each listing is served with a batch envelope, so
+a client verifies one signature per group.  The group keeps only its tree
+and signature, in a bounded LRU of GROUP_CACHE_SIZE groups that a write
+invalidates; a listing's bytes are read from its rows again when it is
+served.  A listing longer than one segment, and every listing of a smaller
+batch, is signed on its own.  Prebuilding a group charges nothing:
+`processedQueries`, `tableAccess` and the modeled delay are charged when a
+listing is served, as for a listing signed on its own.  Both builds read
+rows through `Engine.rows`.
+
 The request-reply protocol of both request channels, the engine's bulk
 channel and the Bloom filter service, is written once, here.
 `send_request` names every request with a fresh random token, so a name
@@ -74,10 +92,11 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from . import bloom, names, trust
+from . import bloom, grid, names, trust
 from .errors import ServiceError, StorageError
-from .geodata import OgbData, WireTile, canonical_json, gone_wire
-from .icn.core import ContentObject, Interest, build_segments
+from .geodata import OgbData, WireTile, canonical_json, gone_wire, listing_wire
+from .grid import TileId
+from .icn.core import SEGMENT_SIZE, ContentObject, Interest, build_segments
 from .names import (
     DataName,
     IpResName,
@@ -99,6 +118,11 @@ BULK_ROOT = names.SCHEME + names.SYSTEM_ROOT + "/bulk"
 REPLAY_CAPACITY = 32        # replies a request channel keeps, for retransmissions
 TILE_FRESHNESS_MS = 60000.0  # how long a content store keeps a tile listing
 IPRES_FRESHNESS_MS = 5000.0  # how long a client keeps a resolved address
+# A segment-0 tile interest whose batch path has at least this many steps
+# (a batch of more than 8 interests) is answered from its listing group.
+GROUP_MIN_PATH = 4
+GROUP_BLOCK = 10             # a level-0 group: an aligned block of degrees per axis
+GROUP_CACHE_SIZE = 64        # listing groups an engine keeps signed
 
 
 def bulk_channel(engine_id: str) -> str:
@@ -144,6 +168,8 @@ _SEQ = b"S"
 _NAME_KEY = b',"name":"'
 _MARKER = "/" + names.GRID_MARKER
 _ROW_SPLIT = "%s/%s/" % (_MARKER, names.DATA_MARKER)
+_CHILDREN = ["/%d%d%s" % (dx, dy, _MARKER) for dx in range(grid.SIDE)
+             for dy in range(grid.SIDE)]
 
 
 def _frame(seq: int, body: bytes) -> bytes:
@@ -219,6 +245,20 @@ def _row_of(name_text: str) -> tuple[str, int, str]:
     end = name_text.index("/", name_text.index("/", start) + 1)
     return (name_text[:cut + len(_MARKER)], name_text.count("/", 0, cut) - 3,
             name_text[start:end])
+
+
+def _listing_group(tile: TileId) -> tuple[str, list[str]]:
+    """What names a tile's listing group, and the tile-prefixes of its
+    members: the children of the tile's parent, or for a level-0 tile its
+    aligned block of GROUP_BLOCK x GROUP_BLOCK degrees."""
+    if tile.digits:
+        parent = "%s%s/%d/%d%s" % (names.SCHEME, names.ROOT, tile.lng0, tile.lat0,
+                                   "".join("/%d%d" % pair for pair in tile.digits[:-1]))
+        return parent, [parent + child for child in _CHILDREN]
+    lng, lat = tile.lng0 - tile.lng0 % GROUP_BLOCK, tile.lat0 - tile.lat0 % GROUP_BLOCK
+    return "%d/%d" % (lng, lat), [
+        "%s%s/%d/%d%s" % (names.SCHEME, names.ROOT, x, y, _MARKER)
+        for x in range(lng, lng + GROUP_BLOCK) for y in range(lat, lat + GROUP_BLOCK)]
 
 
 @dataclass
@@ -320,9 +360,12 @@ class Engine:
         self.publish_sink: Optional[Callable[[ContentObject], None]] = None
         self.bf_log: dict[int, list[ContentObject]] = {}   # by first seq
 
-        self._served = [Name.from_text(p).components for p in config.served_prefixes]
+        self._served = [Name.from_text(p).text for p in config.served_prefixes]
         # Tile name -> (table version it was built at, its segments).
         self._tile_cache = LruCache(128)
+        # (level, parent, "tid/cid") -> (table version it was signed at, its
+        # signature, its Merkle tree's levels, leaf index by member prefix).
+        self._groups = LruCache(GROUP_CACHE_SIZE)
         self._version = 0            # advanced by every write
         me = weakref.proxy(self)     # no cycle: a dropped engine is freed at once
         self.handle_service_interest = RequestService(partial(Engine._request, me),
@@ -339,8 +382,12 @@ class Engine:
     # -- partitioning ------------------------------------------------------
 
     def serves(self, tile) -> bool:
-        comps = routing_prefix(tile).components
-        return any(comps[:len(served)] == served for served in self._served)
+        return self._served_prefix(routing_prefix(tile).text) is not None
+
+    def _served_prefix(self, routing: str) -> Optional[str]:
+        """The served prefix a routing prefix falls under, by its text."""
+        return next((served for served in self._served
+                     if routing == served or routing.startswith(served + "/")), None)
 
     # -- storage -----------------------------------------------------------
 
@@ -461,15 +508,21 @@ class Engine:
 
     # -- query path --------------------------------------------------------
 
+    def rows(self, level: int, prefix: str, key: str) -> list[bytes]:
+        """The stored wire bytes of the "tid/cid" group `key` under a
+        tile-prefix, by name: the one row reader of every listing build."""
+        rows = self.tile_tables[level].get(prefix)
+        group = rows.get(key, ()) if rows else ()
+        return [self.co_table[name] for name in group]
+
     def tile_query(self, tile_name: TileName) -> WireTile:
         """The stored wire bytes of every item under the tile-prefix with the
         query's tenant and client id, by name; reads exactly one level's
         table and only that tenant's rows."""
         tile = tile_name.tile
         self.table_access[tile.level] += 1
-        rows = self.tile_tables[tile.level].get(tile_prefix(tile).text)
-        group = rows.get(tile_name.tid + "/" + tile_name.cid, ()) if rows else ()
-        return WireTile(tile_name, [self.co_table[name] for name in group],
+        return WireTile(tile_name, self.rows(tile.level, tile_prefix(tile).text,
+                                             tile_name.tid + "/" + tile_name.cid),
                         int(TILE_FRESHNESS_MS))
 
     def _tile_response(self, interest: Interest, tile_name: TileName):
@@ -479,20 +532,79 @@ class Engine:
         if not ok:
             self.rejected_interests += 1
             return None                          # silent drop
+        first = interest.name.endswith("/seg=0")
         cached = self._tile_cache.get(base_text)
         # A later segment comes from the build its segment 0 came from.
-        if cached is not None and (cached[0] == self._version
-                                   or not interest.name.endswith("/seg=0")):
+        if cached is not None and (cached[0] == self._version or not first):
             return cached[1], 0.0
         if not self.serves(tile_name.tile):
             return None
-        tile = self.tile_query(tile_name)
+        path = interest.envelope.path
+        grouped = None
+        if first and path is not None and len(path) >= GROUP_MIN_PATH:
+            grouped = self._grouped_listing(tile_name)
+        if grouped is None:
+            tile = self.tile_query(tile_name)
+            contents = build_segments(tile_name.name, tile.to_wire(), TILE_FRESHNESS_MS,
+                                      self._sign)
+            items = len(tile.items)
+        else:
+            contents, items = grouped
         self.processed_queries += 1
-        delay = DEFAULT_C1_MS + DEFAULT_C2_MS * len(tile.items)
-        contents = build_segments(tile_name.name, tile.to_wire(), TILE_FRESHNESS_MS,
-                                  self._sign)
+        delay = DEFAULT_C1_MS + DEFAULT_C2_MS * items
         self._tile_cache.put(base_text, (self._version, contents))
         return contents, delay
+
+    def _grouped_listing(self, tile_name: TileName):
+        """The listing of `tile_name` as one member of its listing group:
+        ([its one segment, under the group's batch envelope], its item
+        count), or None for a listing longer than one segment.  Prebuilding
+        the group charges nothing; this listing is charged as `tile_query`
+        charges it."""
+        tile = tile_name.tile
+        key = tile_name.tid + "/" + tile_name.cid
+        parent, members = _listing_group(tile)
+        entry = self._groups.get((tile.level, parent, key))
+        if entry is None or entry[0] != self._version:
+            entry = self._sign_group(tile.level, parent, members, key)
+            self._groups.put((tile.level, parent, key), entry)
+        _version, signature, levels, leaves = entry
+        prefix = tile_prefix(tile).text
+        leaf = leaves.get(prefix)
+        if leaf is None:
+            return None
+        self.table_access[tile.level] += 1
+        items = self.rows(tile.level, prefix, key)
+        payload = listing_wire(tile_name.name.text, items, int(TILE_FRESHNESS_MS))
+        envelope = trust.TrustEnvelope(self.certificate.name.text, signature,
+                                       trust.merkle_path(levels, leaf))
+        return [ContentObject(tile_name.name.text + "/seg=0", payload, TILE_FRESHNESS_MS,
+                              envelope, 0)], len(items)
+
+    def _sign_group(self, level: int, parent: str, members: list[str], key: str):
+        """Sign, as one Merkle batch, the segment 0 of each one-segment
+        listing for `key` of the `members` this engine serves; built from
+        prefix text and stored bytes alone, as `WireTile.to_wire` splices
+        them.  (table version, signature, tree levels, leaf by prefix)."""
+        leaves: list[bytes] = []
+        index: dict[str, int] = {}
+        tail = "/%s/%s" % (names.TILE_MARKER, key)
+        # A served parent serves all its children; a level-0 block is checked
+        # tile by tile.
+        all_served = level > 0 and self._served_prefix(parent) is not None
+        for prefix in members:
+            if not all_served and self._served_prefix(prefix[:-len(_MARKER)]) is None:
+                continue
+            name_text = prefix + tail
+            payload = listing_wire(name_text, self.rows(level, prefix, key),
+                                   int(TILE_FRESHNESS_MS))
+            if len(payload) > SEGMENT_SIZE:
+                continue                 # keeps its own signature
+            index[prefix] = len(leaves)
+            leaves.append(trust.batch_leaf(name_text + "/seg=0", payload))
+        levels = trust.merkle_levels(leaves)
+        signature = trust.sign_root(self.keypair, levels[-1][0]) if leaves else b""
+        return self._version, signature, levels, index
 
     def _data_response(self, data_name: DataName):
         name_text = data_name.name.text
@@ -508,14 +620,13 @@ class Engine:
         return build_segments(data_name.name, payload, freshness, self._sign), 0.0
 
     def _ipres_response(self, ipres: IpResName):
-        comps = routing_prefix(ipres.tile).components
-        served = next((s for s in self._served if comps[:len(s)] == s), None)
+        served = self._served_prefix(routing_prefix(ipres.tile).text)
         if served is None:
             return None
         payload = canonical_json({"engineId": self.config.engine_id,
                                   "host": self.config.host,
                                   "port": self.config.port,
-                                  "prefix": Name(served).text})
+                                  "prefix": served})
         return build_segments(ipres.name, payload, IPRES_FRESHNESS_MS, self._sign), 0.0
 
     def handle_named_interest(self, interest: Interest, base: Name):
@@ -582,8 +693,10 @@ class Engine:
         self.table_access = [0, 0, 0]
 
     def clear_response_caches(self) -> None:
-        """Empty the tile cache; request replies stay, for retransmissions."""
+        """Empty the tile and listing-group caches; request replies stay,
+        for retransmissions."""
         self._tile_cache.clear()
+        self._groups.clear()
 
     # -- persistence ---------------------------------------------------------
 

@@ -162,8 +162,10 @@ class _SubstrateClient:
         self.credentials = credentials
 
     def _validate_segment(self, content) -> None:
+        """Accept an engine's segment: a listing, a body, an address or a
+        bulk reply, which only an engine may sign."""
         ok, reason = self.trust_store.verify(content.name, content.payload,
-                                             content.envelope)
+                                             content.envelope, signer=trust.is_engine)
         if not ok:
             raise ValidationError(reason or "integrity",
                                   "bad response segment %s" % content.name)

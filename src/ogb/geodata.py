@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii   # json.dumps of a str
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from . import grid, names
@@ -113,10 +114,15 @@ def feature_tiles(f: GeoFeature, level: int) -> set[TileId]:
     return grid.intersected_tiles(f.points, level)
 
 
+def _prefix_order(t: TileId) -> tuple[str, ...]:
+    """Sort key of same-level tiles: the order of their tile-prefixes'
+    components, less the constant first and last."""
+    return (str(t.lng0), str(t.lat0), *["%d%d" % pair for pair in t.digits])
+
+
 def canonical_tile(f: GeoFeature) -> TileId:
     """Deepest-level touched tile with the smallest tile-prefix."""
-    tiles = feature_tiles(f, grid.MAX_LEVEL)
-    return min(tiles, key=lambda t: names.tile_prefix(t).components)
+    return min(feature_tiles(f, grid.MAX_LEVEL), key=_prefix_order)
 
 
 def canonical_data_name(f: GeoFeature) -> DataName:
@@ -210,15 +216,18 @@ class OgbData:
 
 def make_ogb_data_set(f: GeoFeature, freshness_ms: int) -> list[OgbData]:
     """All objects the feature maps to: one Inline at the canonical tile,
-    References everywhere else at all three levels.  Unsigned; the caller
-    signs each item with the owner's key."""
-    canonical = canonical_tile(f)
+    References everywhere else at all three levels, each level's tiles in
+    tile-prefix order.  Each point is located once, at the deepest level;
+    its coarser tiles are that cell's leading digit pairs.  Unsigned; the
+    caller signs each item with the owner's key."""
+    cells = feature_tiles(f, grid.MAX_LEVEL)
+    canonical = min(cells, key=_prefix_order)
     canonical_name = DataName(canonical, f.tid, f.cid, f.uid, f.oid)
     items = []
     for level in range(grid.LEVELS):
-        tiles = sorted(feature_tiles(f, level),
-                       key=lambda t: names.tile_prefix(t).components)
-        for tile in tiles:
+        tiles = cells if level == grid.MAX_LEVEL else \
+            {TileId(c.lng0, c.lat0, c.digits[:level]) for c in cells}
+        for tile in sorted(tiles, key=_prefix_order):
             name = DataName(tile, f.tid, f.cid, f.uid, f.oid)
             if tile == canonical:
                 items.append(OgbData(name, INLINE, f, freshness_ms))
@@ -270,9 +279,13 @@ class WireTile:
     freshness_ms: int
 
     def to_wire(self) -> bytes:
-        return b'{"freshnessMs":%d,"items":[%s],"name":%s}' % (
-            self.freshness_ms, b",".join(self.items),
-            json.dumps(self.name.name.text).encode("ascii"))
+        return listing_wire(self.name.name.text, self.items, self.freshness_ms)
+
+
+def listing_wire(name_text: str, items: Sequence[bytes], freshness_ms: int) -> bytes:
+    """A tile listing's bytes, spliced from its items' stored wire bytes."""
+    return b'{"freshnessMs":%d,"items":[%s],"name":%s}' % (
+        freshness_ms, b",".join(items), encode_basestring_ascii(name_text).encode("ascii"))
 
 
 def gone_wire(name_text: str) -> bytes:

@@ -7,12 +7,15 @@ identities nested under its own (the anchor may certify any direct child
 namespace).  Envelopes sign the concatenation of a name and a payload, so a
 signature binds content to the exact name it was published under.
 
-Two signing rules are fixed in code, for engines and query-handlers alike:
+Three signing rules are fixed in code, for engines and query-handlers alike:
 
 * a tile-query interest must be signed by some user of the tile name's
   tenant, `user_identity(tid, u)` for any uid `u`;
 * data content, and a request to delete it, must be signed by exactly the
-  user its data name names, `user_identity(tid, uid)`.
+  user its data name names, `user_identity(tid, uid)`;
+* what a client takes from an engine (a tile listing, a dereferenced body,
+  an address, a bulk reply) must be signed by some engine,
+  `engine_identity(e)` for any engine id `e`.
 
 A client signs the segment-0 interests of one range query together
 (`sign_batch`): the leaves of a Merkle tree are the messages each interest
@@ -25,6 +28,15 @@ one Ed25519 verify per batch, not per interest; the certificate, chain and
 signer checks still run on every interest.  A batch envelope speaks only for
 the (name, payload) of its own leaf, and replays as a plain envelope does:
 the same interest again, which the signer asked for once already.
+
+An engine signs content the same way: the one-segment listings of a tile's
+same-level siblings form one batch (see `engine`), so a client pays one
+Ed25519 verify per listing group.  A content batch envelope proves only
+that its signer published that one (name, payload) together with the other
+leaves of the tree at the time it signed the root: it says nothing about
+the other leaves, which the checker never sees, and a listing served under
+another member's name or with another payload folds to another root.
+`merkle_levels` and `merkle_path` build the tree for both signers.
 """
 
 from __future__ import annotations
@@ -90,6 +102,12 @@ def is_user_of(identity: str, tid: str) -> bool:
 
 def engine_identity(engine_id: str) -> str:
     return "/OGB/engines/%s" % engine_id
+
+
+def is_engine(identity: str) -> bool:
+    """True when `identity` is `engine_identity(e)` for some engine id `e`."""
+    prefix = engine_identity("")
+    return identity.startswith(prefix) and is_identifier(identity[len(prefix):])
 
 
 def cert_name(identity: str) -> Name:
@@ -253,31 +271,53 @@ def _node_hash(left: bytes, right: bytes) -> bytes:
     return hashlib.sha256(b"\x01" + left + right).digest()
 
 
+def batch_leaf(name_text: str, payload: bytes) -> bytes:
+    """The Merkle leaf of (name, payload): the hash of its signed message."""
+    return _leaf_hash(signed_message(name_text, payload))
+
+
+def merkle_levels(leaves: list[bytes]) -> list[list[bytes]]:
+    """Every level of the Merkle tree over `leaves`, leaves first, root
+    last.  A level's odd last node moves up unpaired, so node j of a level
+    is the parent of nodes 2j and 2j+1 below."""
+    levels = [leaves]
+    while len(levels[-1]) > 1:
+        level = levels[-1]
+        levels.append([_node_hash(level[j], level[j + 1]) if j + 1 < len(level)
+                       else level[j] for j in range(0, len(level), 2)])
+    return levels
+
+
+def merkle_path(levels: list[list[bytes]], leaf: int) -> tuple[tuple[str, bytes], ...]:
+    """The (side, sibling hash) steps from leaf `leaf` up to the root."""
+    path = []
+    for depth, level in enumerate(levels[:-1]):
+        j = leaf >> depth
+        if j & 1:
+            path.append((LEFT, level[j - 1]))
+        elif j + 1 < len(level):
+            path.append((RIGHT, level[j + 1]))
+    return tuple(path)
+
+
+def sign_root(keypair: KeyPair, root: bytes) -> bytes:
+    """The one signature of a batch: its Merkle root under BATCH_ROOT_NAME."""
+    return keypair.sign(signed_message(BATCH_ROOT_NAME, root))
+
+
 def sign_batch(keypair: KeyPair, cert: Certificate,
                messages: list[tuple[str, bytes]]) -> list[TrustEnvelope]:
     """One envelope per (name, payload), all under one signature of the
-    Merkle root of their signed messages.  A level's odd last node moves up
-    unpaired, so node j of a level is the parent of nodes 2j and 2j+1 below.
-    More than 2**MAX_BATCH_DEPTH messages are signed in runs of that many."""
+    Merkle root of their signed messages.  More than 2**MAX_BATCH_DEPTH
+    messages are signed in runs of that many."""
     envelopes: list[TrustEnvelope] = []
     run = 1 << MAX_BATCH_DEPTH
     for start in range(0, len(messages), run):
-        levels = [[_leaf_hash(signed_message(name_text, payload))
-                   for name_text, payload in messages[start:start + run]]]
-        while len(levels[-1]) > 1:
-            level = levels[-1]
-            levels.append([_node_hash(level[j], level[j + 1]) if j + 1 < len(level)
-                           else level[j] for j in range(0, len(level), 2)])
-        signature = keypair.sign(signed_message(BATCH_ROOT_NAME, levels[-1][0]))
-        for leaf in range(len(levels[0])):
-            path = []
-            for depth, level in enumerate(levels[:-1]):
-                j = leaf >> depth
-                if j & 1:
-                    path.append((LEFT, level[j - 1]))
-                elif j + 1 < len(level):
-                    path.append((RIGHT, level[j + 1]))
-            envelopes.append(TrustEnvelope(cert.name.text, signature, tuple(path)))
+        levels = merkle_levels([batch_leaf(name_text, payload)
+                                for name_text, payload in messages[start:start + run]])
+        signature = sign_root(keypair, levels[-1][0])
+        envelopes += [TrustEnvelope(cert.name.text, signature, merkle_path(levels, leaf))
+                      for leaf in range(len(levels[0]))]
     return envelopes
 
 

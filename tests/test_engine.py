@@ -7,9 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from ogb import bloom, trust
+from ogb import bloom, grid, trust
+from ogb import engine as engine_module
 from ogb.engine import (
     ACCEPTED,
+    GROUP_MIN_PATH,
     LOG_FILE,
     NOT_FOUND,
     REJECTED,
@@ -29,7 +31,7 @@ from ogb.geodata import (
     make_ogb_data_set,
     parse_feature,
 )
-from ogb.grid import TileId
+from ogb.grid import TileId, tile_bbox
 from ogb.icn.core import SEGMENT_SIZE, Interest
 from ogb.names import (DataName, IpResName, Name, TileName, segment_name,
                        split_segment, tile_prefix)
@@ -796,3 +798,160 @@ def test_service_replies_are_replayed_not_reapplied(keyring, starbucks):
     again, _ = ask(eng.handle_service_interest, interest)
     assert again.payload == first.payload
     assert eng.item_count == 2
+
+
+# -- listing groups --------------------------------------------------------------
+
+def batch_interests(keyring, tiles, tid="Foo", cid="ShopApp", uid="Alice"):
+    """Segment-0 tile interests signed as one client batch."""
+    names = [segment_name(TileName(tile, tid, cid).name, 0).text for tile in tiles]
+    kp, cert = keyring.user(tid, uid)
+    envelopes = trust.sign_batch(kp, cert, [(name, b"") for name in names])
+    return [Interest(name, b"", env) for name, env in zip(names, envelopes)]
+
+
+def count_signs(eng):
+    signs = []
+    sign = eng.keypair.sign
+    eng.keypair.sign = lambda data: signs.append(data) or sign(data)
+    return signs
+
+
+# Sixteen leaves: every interest's batch path has four steps.
+def grouped(keyring, tiles, **kw):
+    interests = batch_interests(keyring, tiles, **kw)
+    assert all(len(i.envelope.path) >= GROUP_MIN_PATH for i in interests)
+    return interests
+
+
+L1_SIBLINGS = grid.children(L1)
+
+
+def test_grouped_listings_are_the_listings_byte_for_byte(keyring):
+    eng = make_engine(keyring)
+    rng = random.Random(5)
+    # Items in some children of L1, and one child whose listing is longer
+    # than a segment.
+    for i in range(12):
+        tile = L1_SIBLINGS[7 * i]
+        eng.bulk_insert(signed_items(shop(100 + i, [
+            tile_bbox(tile).min.lng + 0.005, tile_bbox(tile).min.lat + 0.005]), keyring))
+    for i in range(40):
+        eng.bulk_insert(signed_items(shop(1000 + i, [12.51 + rng.random() * 0.0099,
+                                                     41.89 + rng.random() * 0.0099]),
+                                     keyring))
+    store = keyring.store()
+    signs = count_signs(eng)
+    access = 0
+    # All 100 children of L1, asked in batches of 16 (the last one of 4,
+    # whose short paths are signed per listing).
+    for start in range(0, 100, 16):
+        tiles = L1_SIBLINGS[start:start + 16]
+        for tile, interest in zip(tiles, batch_interests(keyring, tiles)):
+            content, delay = ask(eng.handle_named_interest, interest)
+            want = eng.tile_query(TileName(tile, "Foo", "ShopApp")).to_wire()
+            access += 2
+            items = len(OgbTile.from_wire(want).items)
+            assert delay == pytest.approx(3.0 + 0.008 * items)
+            long = len(want) > SEGMENT_SIZE
+            assert long == (tile == L2)
+            assert content.payload == want[:SEGMENT_SIZE]
+            grouped_here = len(interest.envelope.path) >= GROUP_MIN_PATH and not long
+            assert (content.envelope.path is not None) == grouped_here
+            assert store.verify(content.name, content.payload, content.envelope,
+                                signer=trust.is_engine) == (True, None)
+    assert eng.table_access == [0, 0, access]
+    assert eng.processed_queries == 100
+    # One group signature, the four short-path listings, and each segment
+    # of the long listing.
+    long_segments = -(-len(eng.tile_query(TileName(L2, "Foo", "ShopApp")).to_wire())
+                      // SEGMENT_SIZE)
+    assert len(signs) == 1 + 4 + long_segments
+    assert len(store._verified) == 1 + 4 + 1       # segment 0 of the long one
+
+
+def test_a_group_holds_only_the_siblings_its_engine_serves(keyring, starbucks):
+    # Level 2: an engine that serves one child of L1.
+    eng = make_engine(keyring, prefixes=["ndn:/OGB/12/41/58/19"])
+    store = keyring.store()
+    eng.bulk_insert(signed_items(starbucks, keyring))
+    tiles = L1_SIBLINGS[16:32]
+    answers = [ask(eng.handle_named_interest, interest)
+               for interest in grouped(keyring, tiles)]
+    assert [tile for tile, answer in zip(tiles, answers) if answer] == [L2]
+    (content, _), = [answer for answer in answers if answer]
+    assert content.envelope.path == ()           # a group of one
+    assert content.payload == eng.tile_query(TileName(L2, "Foo", "ShopApp")).to_wire()
+    assert store.verify(content.name, content.payload, content.envelope,
+                        signer=trust.is_engine) == (True, None)
+    # Level 0: an engine that serves two tiles of the aligned block
+    # 10..19 x 40..49.
+    eng = make_engine(keyring, prefixes=["ndn:/OGB/12/41", "ndn:/OGB/17/45"])
+    eng.bulk_insert(signed_items(starbucks, keyring))
+    signs = count_signs(eng)
+    block = [TileId(lng, lat) for lng in range(10, 14) for lat in range(40, 44)]
+    answers = dict(zip(block, (ask(eng.handle_named_interest, interest)
+                               for interest in grouped(keyring, block))))
+    assert [tile for tile, answer in answers.items() if answer] == [L0]
+    content, _ = answers[L0]
+    assert len(content.envelope.path) == 1       # 12/41 and 17/45
+    assert content.payload == eng.tile_query(TileName(L0, "Foo", "ShopApp")).to_wire()
+    assert store.verify(content.name, content.payload, content.envelope,
+                        signer=trust.is_engine) == (True, None)
+    assert len(signs) == 1
+
+
+def test_a_group_envelope_speaks_only_for_its_own_listing(keyring, starbucks):
+    eng = make_engine(keyring)
+    eng.bulk_insert(signed_items(starbucks, keyring))
+    contents = [ask(eng.handle_named_interest, interest)[0]
+                for interest in grouped(keyring, L1_SIBLINGS[16:32])]
+    assert len({c.envelope.signature for c in contents}) == 1
+    mine, other, nonempty = contents[0], contents[1], contents[3]   # 16, 17, 19
+    assert OgbTile.from_wire(nonempty.payload).name.tile == L2
+    store = keyring.store()
+    for name, payload in ((other.name, mine.payload), (mine.name, other.payload),
+                          (mine.name, nonempty.payload)):
+        assert store.verify(name, payload, mine.envelope, signer=trust.is_engine) \
+            == (False, trust.REASON_INTEGRITY)
+    assert store.verify(mine.name, mine.payload, mine.envelope,
+                        signer=trust.is_engine) == (True, None)
+
+
+def test_a_batch_of_eight_or_fewer_is_signed_per_listing(keyring, starbucks):
+    eng = make_engine(keyring)
+    eng.bulk_insert(signed_items(starbucks, keyring))
+    signs = count_signs(eng)
+    interests = batch_interests(keyring, L1_SIBLINGS[:8])
+    assert max(len(i.envelope.path) for i in interests) < GROUP_MIN_PATH
+    for interest in interests:
+        content, _ = ask(eng.handle_named_interest, interest)
+        assert content.envelope.path is None
+    assert len(signs) == 8
+
+
+def test_a_write_shows_in_the_next_grouped_build(keyring, starbucks):
+    eng = make_engine(keyring)
+    tiles = L1_SIBLINGS[16:32]
+    assert L2 in tiles
+    before = [ask(eng.handle_named_interest, i)[0] for i in grouped(keyring, tiles)]
+    assert all(not OgbTile.from_wire(c.payload).items for c in before)
+    eng.bulk_insert(signed_items(starbucks, keyring))
+    after = [ask(eng.handle_named_interest, i)[0] for i in grouped(keyring, tiles)]
+    for tile, content in zip(tiles, after):
+        assert content.payload == eng.tile_query(TileName(tile, "Foo", "ShopApp")).to_wire()
+    assert [len(OgbTile.from_wire(c.payload).items) for c in after].count(1) == 1
+    assert after[0].envelope.signature != before[0].envelope.signature
+    store = keyring.store()
+    assert all(store.verify(c.name, c.payload, c.envelope)[0] for c in after)
+    assert eng.processed_queries == 32
+
+
+def test_the_group_cache_is_bounded(keyring, monkeypatch):
+    monkeypatch.setattr(engine_module, "GROUP_CACHE_SIZE", 2)
+    eng = make_engine(keyring)
+    for parent in grid.children(L0)[:4]:
+        ask(eng.handle_named_interest, grouped(keyring, grid.children(parent)[:16])[0])
+    assert len(eng._groups._items) == 2
+    eng.clear_response_caches()
+    assert len(eng._groups._items) == 0

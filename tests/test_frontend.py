@@ -2,16 +2,19 @@ from __future__ import annotations
 
 import json
 import random
+from functools import partial
 
 import pytest
 
 from ogb import trust
 from ogb.cluster import ClusterConfig, SimCluster
-from ogb.engine import IPRES_FRESHNESS_MS
-from ogb.errors import AuthorizationError, PartialResultError
+from ogb.engine import IPRES_FRESHNESS_MS, bulk_channel
+from ogb.errors import AuthorizationError, PartialResultError, ValidationError
 from ogb.frontend import Credentials, InsertHandler, QueryHandler, RangeQuery
 from ogb.geodata import OgbData, canonical_json, make_ogb_data_set, parse_feature
 from ogb.grid import BoundingBox
+from ogb.icn.core import build_segments
+from ogb.names import IpResName, TileName
 
 from conftest import starbucks_dict
 
@@ -415,3 +418,25 @@ def test_an_insert_request_is_the_canonical_json_of_its_items(monkeypatch):
     items = [OgbData.from_dict(d) for d in request["items"]]
     assert [i.to_dict() for i in items] == request["items"]
     assert {i.body_type for i in items} == {"inline", "reference"}
+
+
+def test_only_an_engine_may_sign_what_a_client_takes_from_one():
+    cluster = world_cluster()
+    qh, ih = handlers(cluster)
+    assert ih.insert(starbucks_dict()).all_accepted
+    eve_kp, eve_cert = cluster.issue_user("Bar", "Eve")
+    item = make_ogb_data_set(parse_feature(starbucks_dict()), 60000)[0]
+    engine = cluster.engines["e1"]
+    names = [TileName(item.name.tile, "Foo", "ShopApp").name.text,   # a listing
+             item.name.name.text,                                  # a body
+             IpResName(item.name.tile).name.text,                  # an address
+             bulk_channel("e1") + "/insert-0"]                     # a bulk reply
+    for name in names:
+        payload = b'{"any":"payload"}'
+        content = build_segments(name, payload, 0.0, engine._sign)[0]
+        qh._validate_segment(content)
+        forged = build_segments(name, payload, 0.0,
+                                partial(trust.sign_envelope, eve_kp, eve_cert))[0]
+        with pytest.raises(ValidationError) as refused:
+            qh._validate_segment(forged)
+        assert refused.value.reason == trust.REASON_IDENTITY_RULE

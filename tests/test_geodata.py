@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -95,6 +96,54 @@ def test_data_set_multipoint_one_inline_rest_references():
     assert names.tile_prefix(canon).components == min(
         names.tile_prefix(t).components for t in geodata.feature_tiles(f, 2))
     assert all(r.body == inline[0].name for r in refs)
+
+
+def reference_data_set(f, freshness_ms):
+    """make_ogb_data_set as first written: every point located at every
+    level, tiles ordered by their tile-prefixes' components."""
+    def key(t):
+        return names.tile_prefix(t).components
+    canonical = min(geodata.feature_tiles(f, 2), key=key)
+    canonical_name = DataName(canonical, f.tid, f.cid, f.uid, f.oid)
+    items = []
+    for level in range(3):
+        for tile in sorted(geodata.feature_tiles(f, level), key=key):
+            name = DataName(tile, f.tid, f.cid, f.uid, f.oid)
+            if tile == canonical:
+                items.append(OgbData(name, INLINE, f, freshness_ms))
+            else:
+                items.append(OgbData(name, REFERENCE, canonical_name, freshness_ms))
+    return items
+
+
+def test_data_set_locating_once_equals_the_reference():
+    rng = random.Random(17)
+
+    def coordinate(low, high):
+        pick = rng.random()
+        if pick < 0.3:                   # on a level-2 cell edge
+            return round(rng.uniform(low, high), 2)
+        if pick < 0.4:                   # on a whole degree
+            return float(round(rng.uniform(low, high)))
+        if pick < 0.5:                   # close under an edge
+            return round(rng.uniform(low, high), 2) - 1e-12
+        return rng.uniform(low, high)
+
+    for i in range(2000):
+        # Mostly near one spot, so MultiPoints share and straddle cells.
+        spread = rng.choice([0.005, 0.05, 0.5, 3.0])
+        lng0, lat0 = rng.uniform(-179, 176), rng.uniform(-89, 86)
+        coords = [[min(179.99, coordinate(lng0, lng0 + spread)),
+                   min(89.99, coordinate(lat0, lat0 + spread))]
+                  for _ in range(rng.choice([1, 1, 2, 3, 6]))]
+        geometry = ({"type": "Point", "coordinates": coords[0]} if len(coords) == 1
+                    else {"type": "MultiPoint", "coordinates": coords})
+        f = parse_feature({"type": "Feature", "geometry": geometry, "properties": {
+            "oid": i, "tid": "Foo", "uid": "Alice", "cid": "ShopApp"}})
+        got = make_ogb_data_set(f, 60000)
+        want = reference_data_set(f, 60000)
+        assert [(it.name, it.body_type, it.body) for it in got] == \
+            [(it.name, it.body_type, it.body) for it in want], coords
 
 
 def test_data_set_multipoint_across_level0_tiles():

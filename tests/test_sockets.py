@@ -7,19 +7,22 @@ import sys
 import threading
 import time
 import weakref
+from functools import partial
 
 import pytest
 
-from ogb import tessellation, trust
+from ogb import engine as engine_module
+from ogb import geodata, grid, tessellation, trust
 from ogb.bloom import BloomServer
 from ogb.cluster import (ClusterConfig, KeyStore, SimCluster, SocketCluster,
                          network_cert_fetcher)
-from ogb.engine import IPRES_FRESHNESS_MS, TILE_FRESHNESS_MS, Engine, bulk_channel
+from ogb.engine import (GROUP_MIN_PATH, IPRES_FRESHNESS_MS, TILE_FRESHNESS_MS, Engine,
+                        bulk_channel)
 from ogb.errors import (ConfigError, NoRouteError, PartialResultError, ProtocolError,
                         ServiceError, TimeoutError_, UnreachableError)
-from ogb.frontend import Credentials, InsertHandler, QueryHandler, RangeQuery
+from ogb.frontend import DEFAULT_K, Credentials, InsertHandler, QueryHandler, RangeQuery
 from ogb.geodata import (INLINE, REFERENCE, OgbData, canonical_data_name,
-                         WireTile, canonical_json, is_gone, make_ogb_data_set,
+                         canonical_json, is_gone, make_ogb_data_set,
                          parse_feature)
 from ogb.grid import BoundingBox
 from ogb.icn import wire
@@ -915,9 +918,12 @@ def _forgery_world(mode, tmp_path):
     return cluster, ih, handlers["Bob"][0], bob, parse_feature(eve), close
 
 
+BOB_BOX = BoundingBox.of(12.50, 41.88, 12.53, 41.90)
+
+
 def _bob_query(qh):
-    return qh.range_query(RangeQuery(bbox=BoundingBox.of(12.50, 41.88, 12.53, 41.90),
-                                     mode="intersect", tid="Foo", cid="ShopApp"))
+    return qh.range_query(RangeQuery(bbox=BOB_BOX, mode="intersect", tid="Foo",
+                                     cid="ShopApp"))
 
 
 @pytest.mark.parametrize("mode", ["sim", "socket"])
@@ -979,21 +985,24 @@ def test_a_query_drops_items_spliced_into_a_listing(mode, tmp_path, monkeypatch)
         eve_wire = east.co_table[canonical_data_name(eve).name.text]
         bob_name = canonical_data_name(parse_feature(bob))
         bob_wire = east.co_table[bob_name.name.text]
-        honest = Engine.tile_query
-        spliced_in = []
+        bob_prefix = tile_prefix(bob_name.tile).text
+        honest = Engine.rows
+        spliced_in = {}
 
-        def spliced(engine, tile_name):
-            listing = honest(engine, tile_name)
-            extra = [eve_wire] + ([bob_wire] if tile_name.tile != bob_name.tile else [])
-            spliced_in.append(len(extra))
-            return WireTile(listing.name, listing.items + extra, listing.freshness_ms)
+        # Every listing build, single or grouped, reads its rows here.
+        def spliced(engine, level, prefix, key):
+            extra = [eve_wire] + ([bob_wire] if prefix != bob_prefix else [])
+            spliced_in[prefix] = len(extra)
+            return honest(engine, level, prefix, key) + extra
 
-        monkeypatch.setattr(Engine, "tile_query", spliced)
+        monkeypatch.setattr(Engine, "rows", spliced)
         cluster.flush_caches()
         report = _bob_query(bob_qh)
         assert [f.raw for f in report.features] == [bob]
-        assert len(spliced_in) == report.counts["tilesQueried"]
-        assert report.counts["itemsRejected"] == sum(spliced_in)
+        queried = [tile_prefix(tile).text
+                   for tile in tessellation.constrained(BOB_BOX, DEFAULT_K).tiles]
+        assert len(queried) == report.counts["tilesQueried"]
+        assert report.counts["itemsRejected"] == sum(spliced_in[p] for p in queried)
     finally:
         close()
 
@@ -1002,12 +1011,19 @@ def test_a_query_drops_items_spliced_into_a_listing(mode, tmp_path, monkeypatch)
 def test_a_query_drops_a_listing_of_another_tile_name(mode, tmp_path, monkeypatch):
     cluster, ih, bob_qh, bob, eve, close = _forgery_world(mode, tmp_path)
     try:
-        honest = Engine.tile_query
+        honest_rows, honest_wire = Engine.rows, geodata.listing_wire
 
-        def other_tenants(engine, tile_name):
-            return honest(engine, TileName(tile_name.tile, "Bar", tile_name.cid))
+        # Tenant Bar's rows, under Bar's tile name, for every listing build.
+        def other_tenants(engine, level, prefix, key):
+            return honest_rows(engine, level, prefix, "Bar/" + key.split("/")[1])
 
-        monkeypatch.setattr(Engine, "tile_query", other_tenants)
+        def other_name(name_text, items, freshness_ms):
+            return honest_wire(name_text.replace("/TILE/Foo/", "/TILE/Bar/"), items,
+                               freshness_ms)
+
+        monkeypatch.setattr(Engine, "rows", other_tenants)
+        monkeypatch.setattr(geodata, "listing_wire", other_name)
+        monkeypatch.setattr(engine_module, "listing_wire", other_name)
         cluster.flush_caches()
         report = _bob_query(bob_qh)
         assert report.features == []
@@ -1140,17 +1156,16 @@ def test_a_hostile_engine_can_hide_results_but_never_forge_them(mode, tmp_path,
                 genuine[(f.tid, f.cid, f.uid, f.oid)] = canonical_json(raw)
         assert len(genuine) == 4
 
-        honest = Engine.tile_query
+        honest = Engine.rows
         for kind, mangle in HOSTILE_LISTINGS.items():
             for seed in range(3):
-                rng = random.Random(seed)
+                # The same rows for a tile every time it is read, as an
+                # engine's signed listing group needs.
+                def hostile(engine, level, prefix, key, seed=seed):
+                    rng = random.Random("%d %s %s" % (seed, prefix, key))
+                    return mangle(honest(engine, level, prefix, key), rng)
 
-                def hostile(engine, tile_name):
-                    listing = honest(engine, tile_name)
-                    return WireTile(listing.name, mangle(listing.items, rng),
-                                    listing.freshness_ms)
-
-                monkeypatch.setattr(Engine, "tile_query", hostile)
+                monkeypatch.setattr(Engine, "rows", hostile)
                 cluster.flush_caches()
                 features = _bob_query(bob_qh).features
                 got = {(f.tid, f.cid, f.uid, f.oid): canonical_json(f.raw)
@@ -1253,8 +1268,74 @@ def test_a_write_between_a_listings_segments_splices_no_versions(mode, tmp_path,
         close()
 
 
-def _unreadable_listing(engine, tile_name):
-    return WireTile(tile_name, [b"{"], 60000)
+def _unreadable_listing(engine, level, prefix, key):
+    return [b"{"]
+
+
+@pytest.mark.parametrize("mode", ["sim", "socket"])
+def test_listings_signed_by_a_user_fail_their_tiles(mode, tmp_path, monkeypatch):
+    cluster, qh, ih, close = deploy(mode, tmp_path / "storage")
+    try:
+        assert ih.insert(WORLD[0]).all_accepted
+        box, how = QUERIES[0]
+        query = RangeQuery(bbox=box, mode=how, tid="Foo", cid="ShopApp")
+        assert len(qh.range_query(query).features) == 1
+        eve_kp, eve_cert = cluster.issue_user("Bar", "Eve")
+        honest = Engine._tile_response
+
+        # Each tile answered with an empty listing that Eve signed.
+        def forged(engine, interest, tile_name):
+            if honest(engine, interest, tile_name) is None:
+                return None
+            empty = geodata.WireTile(tile_name, [], 60000).to_wire()
+            return build_segments(tile_name.name, empty, TILE_FRESHNESS_MS,
+                                  partial(trust.sign_envelope, eve_kp, eve_cert)), 0.0
+
+        monkeypatch.setattr(Engine, "_tile_response", forged)
+        cluster.flush_caches()
+        # Not an empty answer: every tile fails, which the CLI exits 3 for.
+        with pytest.raises(PartialResultError) as failed:
+            qh.range_query(query)
+        report = failed.value.report
+        assert len(failed.value.failed_tiles) == report.counts["tilesQueried"] > 0
+        assert report.features == []
+    finally:
+        close()
+
+
+# An empty box of twelve tiles in one level-1 tile of engine east.
+EMPTY_BOX = BoundingBox.of(12.60, 41.60, 12.64, 41.62)
+
+
+@pytest.mark.parametrize("mode", ["sim", "socket"])
+def test_a_query_of_nine_or_more_tiles_costs_one_verify_per_group(mode, tmp_path):
+    cluster, qh, ih, close = deploy(mode, tmp_path / "storage")
+    try:
+        assert ih.insert(WORLD[0]).all_accepted
+        tiles = tessellation.constrained(EMPTY_BOX, DEFAULT_K).tiles
+        assert len(tiles) >= 9
+        creds = qh.credentials
+        envelopes = trust.sign_batch(creds.keypair, creds.certificate,
+                                     [(name, b"") for name in _first_segments(EMPTY_BOX)])
+        grouped = [tile for tile, env in zip(tiles, envelopes)
+                   if len(env.path) >= GROUP_MIN_PATH]
+        groups = {grid.parent(tile) for tile in grouped}
+        assert len(grouped) > len(groups) >= 1
+        east = cluster.engines["east"]
+        signs = []
+        sign = east.keypair.sign
+        east.keypair.sign = lambda data: signs.append(data) or sign(data)
+        cluster.flush_caches()
+        memo = len(qh.trust_store._verified)
+        report = qh.range_query(RangeQuery(bbox=EMPTY_BOX, mode="intersect",
+                                           tid="Foo", cid="ShopApp"))
+        assert report.features == [] and report.counts["tilesQueried"] == len(tiles)
+        # One signature per group, one per listing asked outside a group.
+        expected = len(groups) + len(tiles) - len(grouped)
+        assert len(qh.trust_store._verified) - memo == expected
+        assert len(signs) == expected
+    finally:
+        close()
 
 
 @pytest.mark.parametrize("mode", ["sim", "socket"])
@@ -1262,7 +1343,7 @@ def test_a_listing_that_does_not_decode_fails_its_tile(mode, tmp_path, monkeypat
     cluster, qh, ih, close = deploy(mode, tmp_path / "storage")
     try:
         assert ih.insert(WORLD[0]).all_accepted
-        monkeypatch.setattr(Engine, "tile_query", _unreadable_listing)
+        monkeypatch.setattr(Engine, "rows", _unreadable_listing)
         cluster.flush_caches()
         with pytest.raises(PartialResultError) as failed:
             _tile_query(qh)

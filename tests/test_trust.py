@@ -134,6 +134,12 @@ def test_identity_matches_patterns():
     assert trust.user_identity("Foo", "Alice") == "/OGB/tenants/Foo/users/Alice"
     assert trust.user_identity("Foo", "Alice") != "/OGB/tenants/Foo/users/Bob"
     assert not trust.is_user_of("/OGB/a/x", "Foo")
+    # Engine content: any engine.
+    assert trust.is_engine(trust.engine_identity("east"))
+    assert not trust.is_engine("/OGB/engines/")
+    assert not trust.is_engine("/OGB/engines/east/x")
+    assert not trust.is_engine(trust.user_identity("Foo", "Alice"))
+    assert not trust.is_engine(trust.ADMIN_IDENTITY)
 
 
 def test_missing_envelope_and_missing_cert(keyring):
